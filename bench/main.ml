@@ -1083,7 +1083,7 @@ let e15 ~quick () =
      excluded -- this ablation removes that exclusion for immutable-state apps"
 
 (* ------------------------------------------------------------------ *)
-(* E16: group commit under concurrent updaters                         *)
+(* E16: commit groups under concurrent updaters                       *)
 
 module Fault = Sdb_storage.Fault_fs
 
@@ -1096,21 +1096,35 @@ let write_json file =
   write_json_rows file (List.rev !json_rows);
   Printf.printf "\njson results written to %s\n" file
 
+(* The host an E16 row was measured on: core count, OCaml version,
+   source revision and run mode travel with every row. *)
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let rev = try String.trim (input_line ic) with End_of_file -> "" in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown")
+
 let e16 ~quick () =
   section "e16"
-    "group commit: concurrent updaters share one log write and one fsync";
+    "commit groups: concurrent updaters share one log write and one fsync";
   (* A simulated 1 ms fsync stands in for a real disk's cache flush;
      reads and writes stay fast, so the run isolates what batching the
-     commit point buys.  Solo mode pays one fsync per update; grouped,
-     every updater parked behind the leader rides the same fsync. *)
+     commit point buys.  Every update goes through the one group
+     coordinator: one updater pays one fsync per update, N concurrent
+     updaters ride shared fsyncs.  Each thread count runs [reps] times,
+     the repetitions interleaved across thread counts so host drift
+     spreads over every row; rows report the median and quartiles. *)
   let total = if quick then 192 else 960 in
+  let reps = if quick then 3 else 5 in
   let value = String.make 64 'v' in
-  let run ~threads ~group =
+  let run ~threads =
     let store = Mem.create_store ~seed:(1600 + threads) () in
     let ctl, ffs = Fault.wrap (Mem.fs store) in
     Fault.set_latency ctl ~op:`Sync 0.001;
-    let config = { Smalldb.default_config with group_commit = group } in
-    let db = CrashDb.open_exn ~config ffs in
+    let db = CrashDb.open_exn ffs in
     Metrics.reset ();
     let per_thread = total / threads in
     let (), ms =
@@ -1135,44 +1149,56 @@ let e16 ~quick () =
     let spu = float_of_int syncs /. float_of_int (max 1 updates) in
     (rate, spu)
   in
-  let combos =
-    List.concat_map (fun t -> [ (t, false); (t, true) ]) [ 1; 2; 4; 8 ]
+  let thread_counts = [ 1; 2; 4; 8 ] in
+  let samples =
+    List.map (fun t -> (t, (Histogram.create (), Histogram.create ()))) thread_counts
   in
-  let results =
-    List.map (fun (threads, group) ->
-        let rate, spu = run ~threads ~group in
-        (threads, group, rate, spu))
-      combos
-  in
-  let baseline =
-    match List.find_opt (fun (t, g, _, _) -> t = 1 && not g) results with
-    | Some (_, _, r, _) -> r
-    | None -> nan
+  for _ = 1 to reps do
+    List.iter
+      (fun (threads, (rates, spus)) ->
+        let rate, spu = run ~threads in
+        Histogram.record rates rate;
+        Histogram.record spus spu)
+      samples
+  done;
+  let q h p = Histogram.percentile h p in
+  let base = q (fst (List.assoc 1 samples)) 50. in
+  let host =
+    Printf.sprintf
+      "\"cores\": %d, \"ocaml\": %S, \"git_rev\": %S, \"mode\": %S"
+      (Domain.recommended_domain_count ())
+      Sys.ocaml_version (git_rev ())
+      (if quick then "quick" else "full")
   in
   let rows =
     List.map
-      (fun (threads, group, rate, spu) ->
+      (fun (threads, (rates, spus)) ->
+        let med = q rates 50. in
         json_add
           (Printf.sprintf
-             "{\"experiment\": \"e16\", \"threads\": %d, \"group_commit\": %b, \
-              \"updates_per_s\": %.1f, \"speedup_vs_solo\": %.3f, \
-              \"fsyncs_per_update\": %.4f}"
-             threads group rate (rate /. baseline) spu);
+             "{\"experiment\": \"e16\", \"threads\": %d, \"reps\": %d, \
+              \"updates_per_s\": %.1f, \"updates_per_s_p25\": %.1f, \
+              \"updates_per_s_p75\": %.1f, \"speedup_vs_1\": %.3f, \
+              \"fsyncs_per_update\": %.4f, \"fsyncs_per_update_max\": %.4f, %s}"
+             threads reps med (q rates 25.) (q rates 75.) (med /. base)
+             (q spus 50.) (Histogram.max spus) host);
         [
           string_of_int threads;
-          (if group then "on" else "off");
-          Printf.sprintf "%.0f /s" rate;
-          Printf.sprintf "%.2fx" (rate /. baseline);
-          Printf.sprintf "%.3f" spu;
+          Printf.sprintf "%.0f /s" med;
+          Printf.sprintf "%.0f-%.0f" (q rates 25.) (q rates 75.);
+          Printf.sprintf "%.2fx" (med /. base);
+          Printf.sprintf "%.3f" (q spus 50.);
         ])
-      results
+      samples
   in
   Tablefmt.print
     ~header:
-      [ "threads"; "group commit"; "updates"; "vs 1-thread solo"; "fsyncs/update" ]
+      [ "threads"; "updates (median)"; "quartiles"; "vs 1 thread"; "fsyncs/update" ]
     rows;
+  note "%d repetitions per row, interleaved; %d updates per run" reps total;
   note
-    "grouped updaters amortize the 1 ms commit fsync; fsyncs/update falls      toward 1/N while solo mode stays pinned at 1";
+    "concurrent updaters amortize the 1 ms commit fsync: fsyncs/update is \
+     exactly 1 for one updater and falls toward 1/N with N";
   paper
     "the only faster schemes record multiple commit records in a single log \
      entry -- this is that scheme, applied across concurrent client threads"
@@ -1268,16 +1294,15 @@ let e18 ~quick () =
   section "e18"
     "open-loop load: throughput knee and tail latency over the RPC socket";
   (* The full client-visible path: N loadgen threads, each with its own
-     Unix-socket connection, against a name server with group commit on
-     and a fault-injectable filesystem underneath.  Open-loop arrivals
+     Unix-socket connection, against a name server with a
+     fault-injectable filesystem underneath.  Open-loop arrivals
      mean a stalled server keeps accruing intended requests, so the
      tail reflects queueing delay, not just service time (no
      coordinated omission). *)
   let entries = 1000 in
   let store = Mem.create_store ~seed:1800 () in
   let ctl, ffs = Fault.wrap (Mem.fs store) in
-  let config = { Smalldb.default_config with group_commit = true } in
-  let ns = Ns.open_exn ~config ffs in
+  let ns = Ns.open_exn ffs in
   let rng = Rng.create ~seed:1801 in
   let batch = ref [] in
   for i = 0 to entries - 1 do
@@ -1430,9 +1455,7 @@ let e18 ~quick () =
      so a regression in the epoch route's client-visible tail fails
      the build exactly like the locked one. *)
   let estore = Mem.create_store ~seed:1803 () in
-  let econfig =
-    { Smalldb.default_config with group_commit = true; read_path = `Epoch }
-  in
+  let econfig = { Smalldb.default_config with read_path = `Epoch } in
   let ens = Ns.open_exn ~config:econfig (Mem.fs estore) in
   let erng = Rng.create ~seed:1804 in
   let ebatch = ref [] in
@@ -1753,9 +1776,7 @@ let e20 ~quick () =
   let domain_counts = [ 1; 2; 4; 8 ] in
   let cores = Domain.recommended_domain_count () in
   let run ~read_path ~domains =
-    let config =
-      { Smalldb.default_config with group_commit = true; read_path }
-    in
+    let config = { Smalldb.default_config with read_path } in
     let _store, _fs, ns = build_ns ~config ~entries ~seed:2000 () in
     let lsn0 = (Ns.stats ns).Smalldb.lsn in
     let stop = Atomic.make false in

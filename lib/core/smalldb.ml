@@ -117,9 +117,6 @@ type config = {
   log_recovery : [ `Stop_at_damage | `Skip_damaged ];
   hard_error_fallback : bool;
   archive_logs : bool;
-  group_commit : bool;
-  max_group_delay : float;
-  max_group_bytes : int;
   read_path : [ `Locked | `Epoch ];
 }
 
@@ -130,9 +127,6 @@ let default_config =
     log_recovery = `Stop_at_damage;
     hard_error_fallback = true;
     archive_logs = false;
-    group_commit = false;
-    max_group_delay = 0.002;
-    max_group_bytes = 1 lsl 20;
     read_path = `Locked;
   }
 
@@ -227,8 +221,8 @@ module Make (App : APP) = struct
 
   type group = {
     mutable g_members : member list;  (* reverse join order *)
-    mutable g_bytes : int;  (* framed bytes the group will write *)
-    g_born : float;
+    mutable g_sealed : bool;
+    mutable g_awaited : bool;  (* a checked updater waits for the seal *)
   }
 
   type t = {
@@ -245,6 +239,11 @@ module Make (App : APP) = struct
     gc_cond : Condition.t;
     gc_forming : group option Sdb_check.Guarded.t;
     gc_committing : bool Sdb_check.Guarded.t;
+    (* What the last group cost and how many members it carried: the
+       next leader's linger bound and target.  Touched only by the
+       commit-slot holder. *)
+    mutable last_flush_s : float;
+    mutable last_joined : int;
     (* reusable pickle scratch; guarded by the Update lock *)
     pickle_buf : Buffer.t;
     (* The lock-free read path (config.read_path = `Epoch): the state
@@ -336,6 +335,8 @@ module Make (App : APP) = struct
       gc_forming = Sdb_check.Guarded.create ~by:gc_mutex ~name:"gc_forming" None;
       gc_committing =
         Sdb_check.Guarded.create ~by:gc_mutex ~name:"gc_committing" false;
+      last_flush_s = 0.;
+      last_joined = 1;
       pickle_buf = Buffer.create 256;
       epoch =
         (match config.read_path with
@@ -764,12 +765,7 @@ module Make (App : APP) = struct
     List.iter (fun (_, f) -> f lsn u) subs
 
   (* ---------------------------------------------------------------- *)
-  (* Group commit (§4d)                                                *)
-
-  let payload_bytes ps =
-    List.fold_left
-      (fun acc p -> acc + String.length p + Wal.frame_overhead)
-      0 ps
+  (* Group commit (§4d): the one commit path                          *)
 
   let is_pending m = match m.m_outcome with M_pending -> true | _ -> false
 
@@ -789,20 +785,59 @@ module Make (App : APP) = struct
         Condition.broadcast t.gc_cond)
   [@@sdb.noblock]
 
-  (* The group leader: the updater that created the forming group.
-     It (1) claims the commit slot, so groups commit in formation
-     order; (2) lingers up to [max_group_delay] while updaters are
-     still queued on the Update lock — each will verify, pickle and
-     join within its next quantum — or until [max_group_bytes] of
-     frames have gathered; (3) takes the Update lock and seals the
-     group (members join under that same lock, so from here the member
-     list is final and nothing else can touch the writer's staging
-     buffer); (4) stages every member's frames and emits them with one
-     write + one fsync; (5) upgrades to Exclusive once and applies the
-     whole group in stage order, assigning dense LSNs; (6) wakes the
-     group and notifies subscribers in LSN order.
+  (* The linger: give the forming group time to grow while that is
+     likely to pay.  The leader keeps waiting while an updater is queued
+     on the Update lock (it will verify, pickle and join within its next
+     quantum) or while its group is still smaller than the last one (the
+     last group's members are on their way back) — but never longer than
+     the last group's flush took, since lingering longer than one fsync
+     is never a win, and not at all once a checked updater waits for the
+     seal.  It sleeps between looks, so the joiners get the CPU.  With a
+     single updater nobody is queued and the last group had one member:
+     no wait at all.  Returns whether it waited. *)
+  let linger_slice = 50e-6
 
-     The §4b/§4c failure taxonomy carries over member-wise:
+  let linger t g =
+    let limit = now () +. t.last_flush_s in
+    let worth_waiting () =
+      let awaited, joined =
+        Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
+            (g.g_awaited, List.length g.g_members))
+      in
+      (not awaited)
+      && (joined < t.last_joined
+         || (Vlock.waiting t.lock).Vlock.waiting_update > 0)
+    in
+    let rec go waited =
+      let left = limit -. now () in
+      if left > 0. && worth_waiting () then begin
+        Thread.delay (Float.min linger_slice left);
+        go true
+      end
+      else waited
+    in
+    go false
+
+  (* The group leader: the updater that opened the forming group.
+     It (1) claims the commit slot, so groups commit in formation
+     order; (2) lingers (above); (3) takes the Update lock and seals
+     the group (members join under that same lock, so from here the
+     member list is final and nothing else can touch the writer's
+     staging buffer); (4) stages every member's frames and emits them
+     with one write + one fsync — the commit point; (5) upgrades to
+     Exclusive once and applies the whole group in stage order,
+     assigning dense LSNs; (6) wakes the group and notifies subscribers
+     in LSN order; (7) runs the auto-checkpoint, still inside the
+     commit slot, so racing leaders never write duplicate checkpoints.
+     Update is held from the seal through the apply: whoever takes it
+     next sees every sealed group applied.
+
+     Every exit path either releases the lock or poisons the engine
+     AND releases — never leaks.  A failure BEFORE the commit point
+     leaves the engine usable, because nothing reached the disk; a
+     failure AT or AFTER it poisons, because memory and disk may now
+     disagree — but still releases and wakes every member, so nobody
+     deadlocks.  Member-wise (§4b/§4c):
      - poisoned/closed at seal time: members fail with
        [Poisoned]/[Closed]; nothing was staged;
      - a frame rejected at stage time (oversized payload): nothing on
@@ -817,34 +852,24 @@ module Make (App : APP) = struct
        [Poisoned], the leader re-raises the original failure;
      - a failing [apply]: poison (a committed update must apply).
 
-     The leader raises its own failure exactly as a solo updater
-     would; it returns normally only when the whole group committed. *)
+     The leader raises its own failure; it returns normally only when
+     the whole group committed. *)
   let lead t (g : group) =
     let traced = Trace.active () in
-    let t_join0 = if traced then now () else 0.0 in
+    let t_join0 = now () in
     Sdb_check.Mu.lock t.gc_mutex;
+    let queued = Sdb_check.Guarded.get t.gc_committing in
     while Sdb_check.Guarded.get t.gc_committing do
       Sdb_check.Mu.wait t.gc_cond t.gc_mutex
     done;
     Sdb_check.Guarded.set t.gc_committing true;
     Sdb_check.Mu.unlock t.gc_mutex;
     Fun.protect ~finally:(fun () -> release_slot t) @@ fun () ->
-    (* Linger.  The stdlib has no timed condition wait, so poll: an
-       idle lock exits immediately (a solo update pays no delay). *)
-    let deadline = g.g_born +. t.config.max_group_delay in
-    let group_bytes () =
-      Sdb_check.Mu.with_lock t.gc_mutex (fun () -> g.g_bytes)
-    in
-    while
-      now () < deadline
-      && group_bytes () < t.config.max_group_bytes
-      && (Vlock.waiting t.lock).Vlock.waiting_update > 0
-    do
-      Thread.yield ()
-    done;
+    let lingered = linger t g in
     (* The leader's "join" phase is the commit-slot wait plus the
-       linger; a member's (below) is its park on the group outcome. *)
-    if traced then
+       linger; a member's (below) is its park on the group outcome.
+       An updater that never waited emits none. *)
+    if traced && (queued || lingered) then
       Trace.span "update.join"
         ~attrs:[ ("app", App.name); ("role", "leader") ]
         ~start_s:t_join0 ~dur_s:(now () -. t_join0);
@@ -861,6 +886,7 @@ module Make (App : APP) = struct
     let members =
       Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
           Sdb_check.Guarded.set t.gc_forming None;
+          g.g_sealed <- true;
           List.rev g.g_members)
     in
     let fail_all ?(poison = false) ~leader member_exn =
@@ -891,8 +917,10 @@ module Make (App : APP) = struct
       | e -> fail_all ~poison:true ~leader:e Poisoned);
       let t2 = now () in
       t.t_log <- t.t_log +. (t2 -. t1);
+      t.last_flush_s <- t2 -. t1;
+      t.last_joined <- List.length members;
       Metrics.observe m_phase_log (t2 -. t1);
-      if Trace.active () then
+      if traced then
         Trace.span "update.log"
           ~attrs:
             [
@@ -976,95 +1004,108 @@ module Make (App : APP) = struct
       maybe_auto_checkpoint t
   [@@sdb.acquires exclusive]
 
-  (* One participant: verify + pickle under the Update lock, join the
-     forming group (or create it and become the leader), release the
-     lock, then park for the outcome — or lead the commit.  A raising
-     [verify] or pickler propagates with the lock released and nothing
-     joined: it fails only its own member, before staging. *)
-  let group_commit t ~verify updates =
+  (* Park until [f] holds, then emit the wait as one [update.join]
+     span. *)
+  let park t ~role f =
+    let t0 = now () in
+    Sdb_check.Mu.lock t.gc_mutex;
+    while not (f ()) do
+      Sdb_check.Mu.wait t.gc_cond t.gc_mutex
+    done;
+    Sdb_check.Mu.unlock t.gc_mutex;
+    if Trace.active () then
+      Trace.span "update.join"
+        ~attrs:[ ("app", App.name); ("role", role) ]
+        ~start_s:t0 ~dur_s:(now () -. t0)
+
+  (* Every update, checked or not, single or batched: the paper's three
+     steps under the paper's locks, with the log write shared.  Under
+     the Update lock (enquiries keep running) this thread verifies and
+     pickles, then joins the forming group — or opens one and becomes
+     its leader — and releases the lock.  A member parks until the
+     leader settles the whole group with one write and one fsync; the
+     leader commits as above.  A raising [verify] or pickler propagates
+     with the lock released and nothing joined: nothing reached the
+     disk, so only this update fails and the engine stays usable.
+
+     Preconditions are serial: [verify] must see every update staged
+     before its own.  An open group's members are staged but not yet
+     applied, so a checked updater may open a group but never joins a
+     non-empty one: it releases Update, waits for that group's seal
+     and retries.  The leader holds Update from the seal through the
+     apply, so the retry verifies against the applied state.  Plain
+     updates (no [verify]) join freely. *)
+  let rec commit t ?verify updates =
     check_updatable t;
-    Vlock.acquire t.lock Vlock.Update;
-    let held = ref (Some Vlock.Update) in
-    let joined =
-      Fun.protect
-        ~finally:(fun () ->
-          match !held with
-          | Some mode ->
-            held := None;
-            Vlock.release t.lock mode
-          | None -> ())
-        (fun () ->
-          let traced = Trace.active () in
-          let t0 = now () in
-          let v = verify t.state in
-          let dv = now () -. t0 in
-          t.t_verify <- t.t_verify +. dv;
-          Metrics.observe m_phase_verify dv;
-          if traced then
-            Trace.span "update.verify"
-              ~attrs:[ ("app", App.name) ]
-              ~start_s:t0 ~dur_s:dv;
-          match v with
-          | Error e -> Error e
-          | Ok () ->
-            let t1 = now () in
-            Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
-              ~site:"group_commit.pickle_buf";
-            let payloads =
-              List.map
-                (fun u ->
-                  Buffer.clear t.pickle_buf;
-                  Pickle.encode_into t.pickle_buf App.codec_update u;
-                  Buffer.contents t.pickle_buf)
-                updates
-            in
-            let dp = now () -. t1 in
-            t.t_pickle <- t.t_pickle +. dp;
-            Metrics.observe m_phase_pickle dp;
-            let m =
-              { m_updates = updates; m_payloads = payloads; m_outcome = M_pending }
-            in
-            let lead_group =
+    let step =
+      Vlock.with_lock t.lock Vlock.Update (fun () ->
+          let busy =
+            match verify with
+            | None -> None
+            | Some _ ->
+              Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
+                  match Sdb_check.Guarded.get t.gc_forming with
+                  | Some g ->
+                    g.g_awaited <- true;
+                    Some g
+                  | None -> None)
+          in
+          match busy with
+          | Some g -> `Await_seal g
+          | None -> (
+            let t0 = now () in
+            let v = match verify with None -> Ok () | Some f -> f t.state in
+            let dv = now () -. t0 in
+            t.t_verify <- t.t_verify +. dv;
+            Metrics.observe m_phase_verify dv;
+            if Trace.active () then
+              Trace.span "update.verify"
+                ~attrs:[ ("app", App.name) ]
+                ~start_s:t0 ~dur_s:dv;
+            match v with
+            | Error e -> `Refused e
+            | Ok () ->
+              let t1 = now () in
+              (* The scratch buffer is guarded by the Update lock. *)
+              Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
+                ~site:"commit.pickle_buf";
+              let payloads =
+                List.map
+                  (fun u ->
+                    Buffer.clear t.pickle_buf;
+                    Pickle.encode_into t.pickle_buf App.codec_update u;
+                    Buffer.contents t.pickle_buf)
+                  updates
+              in
+              let dp = now () -. t1 in
+              t.t_pickle <- t.t_pickle +. dp;
+              Metrics.observe m_phase_pickle dp;
+              let m =
+                { m_updates = updates; m_payloads = payloads; m_outcome = M_pending }
+              in
               Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
                   match Sdb_check.Guarded.get t.gc_forming with
                   | Some g ->
                     g.g_members <- m :: g.g_members;
-                    g.g_bytes <- g.g_bytes + payload_bytes payloads;
-                    None
+                    `Member m
                   | None ->
                     let g =
-                      {
-                        g_members = [ m ];
-                        g_bytes = payload_bytes payloads;
-                        g_born = now ();
-                      }
+                      { g_members = [ m ]; g_sealed = false; g_awaited = false }
                     in
                     Sdb_check.Guarded.set t.gc_forming (Some g);
-                    Some g)
-            in
-            Ok (m, lead_group))
+                    `Leader g)))
     in
-    match joined with
-    | Error e -> Error e
-    | Ok (_, Some g) ->
+    match step with
+    | `Refused e -> Error e
+    | `Await_seal g ->
+      park t ~role:"checked" (fun () -> g.g_sealed);
+      commit t ?verify updates
+    | `Leader g ->
       lead t g;
       Ok ()
-    | Ok (m, None) ->
-      let traced = Trace.active () in
-      let t_park0 = if traced then now () else 0.0 in
-      Sdb_check.Mu.lock t.gc_mutex;
-      while is_pending m do
-        Sdb_check.Mu.wait t.gc_cond t.gc_mutex
-      done;
-      let o = m.m_outcome in
-      Sdb_check.Mu.unlock t.gc_mutex;
-      (* The member's whole commit — verify done, parked while the
-         leader flushes and applies — shows up as this one span. *)
-      if traced then
-        Trace.span "update.join"
-          ~attrs:[ ("app", App.name); ("role", "member") ]
-          ~start_s:t_park0 ~dur_s:(now () -. t_park0);
-      (match o with
+    | `Member m -> (
+      park t ~role:"member" (fun () -> not (is_pending m));
+      match m.m_outcome with
       | M_committed _ -> Ok ()
       | M_failed e -> raise e
       | M_pending -> assert false)
@@ -1099,228 +1140,22 @@ module Make (App : APP) = struct
           (f t.state, t.lsn))
   [@@sdb.acquires shared]
 
-  (* The paper's three steps under the paper's locks:
-     update lock for verify + log write (enquiries keep running),
-     exclusive only for the memory mutation.
-
-     Every exit path must either release the lock or poison the engine
-     AND release — never leak.  The rule (documented in DESIGN.md):
-     a failure BEFORE the commit point (raising precondition, raising
-     pickler) releases and leaves the engine usable, because nothing
-     reached the disk; a failure AT or AFTER the commit point (log
-     append/fsync, [apply], checkpoint install) poisons, because memory
-     and disk may now disagree — but still releases, so blocked
-     threads wake up and observe [Poisoned] instead of deadlocking.
-     The [held] ref tracks the mode currently owned; the [Fun.protect]
-     finalizer releases whatever is still held on any exceptional
-     exit.
-
-     With [config.group_commit] the same three steps run, but the log
-     write is delegated to the group-commit coordinator above: this
-     thread verifies and pickles under the Update lock, then parks
-     while a leader shares one fsync across every concurrent update. *)
-  let update_solo t ~precondition u =
-    check_updatable t;
-    Vlock.acquire t.lock Vlock.Update;
-    let held = ref (Some Vlock.Update) in
-    let release mode =
-      held := None;
-      Vlock.release t.lock mode
-    in
-    let verdict =
-      Fun.protect
-        ~finally:(fun () ->
-          match !held with
-          | Some mode ->
-            held := None;
-            Vlock.release t.lock mode
-          | None -> ())
-        (fun () ->
-          let traced = Trace.active () in
-          let span_attrs = if traced then [ ("app", App.name) ] else [] in
-          let t0 = now () in
-          (* A raising precondition propagates; the finalizer releases
-             the Update lock and the engine stays usable. *)
-          let v = precondition t.state in
-          let dv = now () -. t0 in
-          t.t_verify <- t.t_verify +. dv;
-          Metrics.observe m_phase_verify dv;
-          if traced then
-            Trace.span "update.verify" ~attrs:span_attrs ~start_s:t0 ~dur_s:dv;
-          match v with
-          | Error e -> Error e
-          | Ok () ->
-            (let t0 = now () in
-             (* A raising pickler likewise: nothing is on disk yet.
-                The scratch buffer is guarded by the Update lock. *)
-             Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
-               ~site:"update_solo.pickle_buf";
-             Buffer.clear t.pickle_buf;
-             Pickle.encode_into t.pickle_buf App.codec_update u;
-             let payload = Buffer.contents t.pickle_buf in
-             let t1 = now () in
-             (try ignore (Wal.Writer.append_sync t.wal payload : int)
-              with
-              | Wal.Append_rolled_back (Fs.No_space _ as cause) ->
-                (* Nothing reached the log; the disk is just full.
-                   Reject this one update cleanly and go read-only
-                   until a checkpoint can reclaim log space. *)
-                let reason = Fs.describe_exn cause in
-                enter_degraded t reason;
-                raise (Degraded reason)
-              | Wal.Append_rolled_back cause ->
-                (* The write failed but the log was restored to its
-                   exact prior contents — still before the commit
-                   point, so fail the one update and stay usable. *)
-                raise cause
-              | e ->
-                (* The append may have left partial bytes, or the
-                   fsync failed with an unknown amount already durable
-                   (the fsyncgate rule: a failed fsync is never
-                   retried).  Memory and disk may disagree, so refuse
-                   further use. *)
-                t.poisoned <- true;
-                raise e);
-             let t2 = now () in
-             t.t_pickle <- t.t_pickle +. (t1 -. t0);
-             t.t_log <- t.t_log +. (t2 -. t1);
-             Metrics.observe m_phase_pickle (t1 -. t0);
-             Metrics.observe m_phase_log (t2 -. t1);
-             if traced then
-               (* One span covers pickle + append + fsync: the paper's
-                  "write the log entry" step. *)
-               Trace.span "update.log"
-                 ~attrs:
-                   (span_attrs @ [ ("bytes", string_of_int (String.length payload)) ])
-                 ~start_s:t0 ~dur_s:(t2 -. t0));
-            (* Committed: switch to exclusive for the memory mutation. *)
-            Vlock.upgrade t.lock;
-            held := Some Vlock.Exclusive;
-            Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Exclusive
-              ~site:"update_solo.apply";
-            (try
-               let t0 = now () in
-               t.state <- App.apply t.state u;
-               let da = now () -. t0 in
-               t.t_apply <- t.t_apply +. da;
-               Metrics.observe m_phase_apply da;
-               if traced then
-                 Trace.span "update.apply" ~attrs:span_attrs ~start_s:t0 ~dur_s:da
-             with e ->
-               t.poisoned <- true;
-               raise e);
-            t.lsn <- t.lsn + 1;
-            t.committed <- t.committed + 1;
-            t.since_ckpt <- t.since_ckpt + 1;
-            Metrics.incr m_updates;
-            let lsn = t.lsn - 1 in
-            publish_epoch t;
-            release Vlock.Exclusive;
-            (* A raising subscriber propagates to the updater with no
-               lock held; the update is already durable and applied. *)
-            Trace.with_span "update.notify" ~attrs:span_attrs (fun () ->
-                notify t lsn u);
-            Ok ())
-    in
-    (match verdict with Ok () -> maybe_auto_checkpoint t | Error _ -> ());
-    verdict
-  [@@sdb.acquires exclusive]
-
-  let update_checked t ~precondition u =
-    if t.config.group_commit then group_commit t ~verify:precondition [ u ]
-    else update_solo t ~precondition u
+  let update_checked t ~precondition u = commit t ~verify:precondition [ u ]
 
   let update t u =
-    match update_checked t ~precondition:(fun _ -> Ok ()) u with
+    match commit t [ u ] with
     | Ok () -> ()
-    | Error _ -> assert false (* precondition above cannot fail *)
+    | Error _ -> assert false (* no precondition, nothing to refuse *)
 
-  (* Same lock discipline as [update_checked]: pickling failures
-     release (nothing committed), log/apply failures poison and
-     release.  Under [group_commit] the whole batch rides as a single
-     group member: its frames stay contiguous in stage order and share
-     the group's one fsync. *)
+  (* The whole batch rides as one group member: its frames stay
+     contiguous in stage order and share the group's one write and one
+     fsync. *)
   let update_batch t updates =
     if updates = [] then check_updatable t
-    else if t.config.group_commit then begin
-      match group_commit t ~verify:(fun _ -> Ok ()) updates with
+    else
+      match commit t updates with
       | Ok () -> ()
-      | Error (_ : unit) -> assert false
-    end
-    else begin
-      check_updatable t;
-      Vlock.acquire t.lock Vlock.Update;
-      let held = ref (Some Vlock.Update) in
-      Fun.protect
-        ~finally:(fun () ->
-          match !held with
-          | Some mode ->
-            held := None;
-            Vlock.release t.lock mode
-          | None -> ())
-        (fun () ->
-          (let t0 = now () in
-           Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
-             ~site:"update_batch.pickle_buf";
-           let payloads =
-             List.map
-               (fun u ->
-                 Buffer.clear t.pickle_buf;
-                 Pickle.encode_into t.pickle_buf App.codec_update u;
-                 Buffer.contents t.pickle_buf)
-               updates
-           in
-           let t1 = now () in
-           (try
-              List.iter
-                (fun p -> ignore (Wal.Writer.append t.wal p : int))
-                payloads;
-              Wal.Writer.sync t.wal
-            with
-            | Wal.Append_rolled_back (Fs.No_space _ as cause) ->
-              (* The failing append was rolled back, and every earlier
-                 append of the batch is unsynced volatile data above
-                 the recorded length that the reopen path discards —
-                 nothing committed.  But the writer's length no longer
-                 matches what earlier appends buffered, so the engine
-                 must not keep appending: degrade read-only; the exit
-                 checkpoint rebuilds a clean log. *)
-              let reason = Fs.describe_exn cause in
-              enter_degraded t reason;
-              raise (Degraded reason)
-            | e ->
-              t.poisoned <- true;
-              raise e);
-           let t2 = now () in
-           t.t_pickle <- t.t_pickle +. (t1 -. t0);
-           t.t_log <- t.t_log +. (t2 -. t1);
-           Metrics.observe m_phase_pickle (t1 -. t0);
-           Metrics.observe m_phase_log (t2 -. t1));
-          Vlock.upgrade t.lock;
-          held := Some Vlock.Exclusive;
-          Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Exclusive
-            ~site:"update_batch.apply";
-          (try
-             let t0 = now () in
-             List.iter (fun u -> t.state <- App.apply t.state u) updates;
-             let da = now () -. t0 in
-             t.t_apply <- t.t_apply +. da;
-             Metrics.observe m_phase_apply da
-           with e ->
-             t.poisoned <- true;
-             raise e);
-          let n = List.length updates in
-          Metrics.add m_updates n;
-          let base = t.lsn in
-          t.lsn <- t.lsn + n;
-          t.committed <- t.committed + n;
-          t.since_ckpt <- t.since_ckpt + n;
-          publish_epoch t;
-          held := None;
-          Vlock.release t.lock Vlock.Exclusive;
-          List.iteri (fun i u -> notify t (base + i) u) updates);
-      maybe_auto_checkpoint t
-    end
+      | Error _ -> assert false (* no precondition, nothing to refuse *)
 
   (* ---------------------------------------------------------------- *)
   (* Online integrity scrub                                             *)

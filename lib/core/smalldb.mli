@@ -10,10 +10,11 @@
     Restart loads the checkpoint and replays the log.
 
     Concurrency follows the paper's three-mode locking: enquiries hold
-    a shared lock; an update holds the update lock through steps (1)
-    and (2) — so enquiries keep running during the disk write — and
-    upgrades to exclusive only for step (3); a checkpoint holds the
-    update lock for its whole duration.
+    a shared lock; steps (1) and (2) run under the update lock — so
+    enquiries keep running during the disk write — and only step (3)
+    upgrades to exclusive; a checkpoint holds the update lock for its
+    whole duration.  Concurrent updates share step (2): one log write
+    and one fsync commit every update in flight (see {!Make.update_checked}).
 
     Instantiate {!Make} with an application: its state and update
     types, their pickles, and the (total, deterministic) [apply]
@@ -62,18 +63,6 @@ type config = {
   archive_logs : bool;
       (** keep superseded logs as [archive-logfile<N>] — §4's complete
           audit trail, consumed through {!Make.History} *)
-  group_commit : bool;
-      (** commit concurrent updates as a group sharing one log write
-          and one fsync (DESIGN.md §4d).  Identical durability and
-          failure semantics per update; throughput under concurrent
-          updaters is no longer capped at 1/fsync-latency *)
-  max_group_delay : float;
-      (** longest time (seconds) a group leader lingers for more
-          updaters to join before committing the group; a solo update
-          with nobody queued commits immediately, paying no delay *)
-  max_group_bytes : int;
-      (** a group that has gathered this many framed log bytes commits
-          without lingering further *)
   read_path : [ `Locked | `Epoch ];
       (** [`Locked] (the default): every enquiry holds the Vlock in
           Shared mode — the paper's protocol, and the baseline.
@@ -86,7 +75,7 @@ type config = {
           [App.state] to be persistent} (path-copied, like
           [Ns_data.pnode] or a [Map]) — a mutable state would be
           shared, bare, with readers in other domains.  WAL,
-          group commit, checkpointing and replication are unchanged;
+          commit groups, checkpointing and replication are unchanged;
           the fsync remains the commit point, and a version is
           published only after it commits. *)
 }
@@ -94,8 +83,11 @@ type config = {
 val default_config : config
 (** [retain_previous = false], [Manual], [`Stop_at_damage],
     [hard_error_fallback = true], [archive_logs = false],
-    [group_commit = false], [max_group_delay = 0.002],
-    [max_group_bytes = 1 MiB], [read_path = `Locked]. *)
+    [read_path = `Locked].
+
+    There is no commit tuning: every update commits through one group
+    coordinator (DESIGN.md §4d) whose linger is bounded by the engine's
+    own last measured log flush, not by a configured delay. *)
 
 (** Cumulative per-phase timings (seconds) backing the E2/E3/E4 cost
     breakdowns; maintained with two clock reads per phase. *)
@@ -193,7 +185,8 @@ module Make (App : APP) : sig
       pairs replication is built from. *)
 
   val update : t -> App.update -> unit
-  (** Commit and apply one update: one disk write. *)
+  (** Commit and apply one update.  Alone it costs one log write and
+      one fsync; concurrent callers share them (see {!update_checked}). *)
 
   val update_checked :
     t -> precondition:(App.state -> (unit, 'e) result) -> App.update ->
@@ -202,32 +195,35 @@ module Make (App : APP) : sig
       update lock before anything is logged; if it fails, the database
       is untouched and no disk write happens.
 
+      Every update commits through one group coordinator (DESIGN.md
+      §4d): concurrent callers share one log write and one fsync, and
+      commit in a single serial order with dense LSNs.  Preconditions
+      are serial: [precondition] sees the state with every update
+      committed before this one applied — never a state that misses an
+      update staged ahead of it.  (A checked update therefore never
+      joins a group that is already forming; it waits for that group
+      to be sealed and then verifies against its applied result.)
+
       Exception safety (poison-vs-release, see DESIGN.md): a
       [precondition] or pickler that {e raises} propagates with the
       lock released and the engine untouched and usable — nothing
-      reached the disk.  A failure in the log append/fsync or in
-      [App.apply] also releases the lock but first poisons the engine
-      ({!Poisoned}), because memory and disk may now disagree.  A
-      raising subscriber propagates to the caller after the update is
-      already durable and applied, with no lock held.
-
-      With [config.group_commit], concurrent callers share one log
-      write and one fsync (DESIGN.md §4d).  The contract is unchanged
-      per update: the precondition still runs under the Update lock
-      against the pre-group state; a failing precondition or raising
-      pickler fails only this call; a group-wide log failure fails
-      every member with the same taxonomy as above ([Degraded] on
-      no-space, the rolled-back cause on a restored write error,
-      {!Poisoned} after a failed fsync). *)
+      reached the disk — and fails only this call.  A failure in the
+      log append or fsync fails every member of the group with the
+      §4b/§4c taxonomy: [Degraded] on no-space (nothing committed,
+      engine read-only), the cause itself on a write the log rolled
+      back (engine usable), {!Poisoned} after a failed fsync — the
+      thread that ran the fsync sees the raw failure.  A failing
+      [App.apply] poisons.  The lock is released on every path.  A
+      raising subscriber propagates to the caller whose thread ran the
+      notification, after the group is already durable and applied,
+      with no lock held. *)
 
   val update_batch : t -> App.update list -> unit
-  (** One caller, many updates: all entries appended, one fsync (§5's
-      "multiple commit records in a single log entry" optimisation).
-      Same exception-safety contract as {!update_checked}: a raising
-      pickler releases and leaves the engine usable; a log or apply
-      failure poisons and releases.  With [config.group_commit] the
-      batch joins the forming group as a single member: its entries
-      stay contiguous in the log and share the group's one fsync. *)
+  (** One caller, many updates — §5's "multiple commit records in a
+      single log entry".  The batch joins the forming group as a single
+      member: its entries stay contiguous in the log and go to disk in
+      the group's one write and one fsync.  Same exception-safety
+      contract as {!update_checked}.  An empty batch commits nothing. *)
 
   val checkpoint : t -> unit
   (** Write a checkpoint and reset the log.  Holds the update lock for

@@ -167,63 +167,140 @@ let upgrade_vs_readers_broken () =
 
 (* ------------------------------------------------------------------ *)
 
-let group_commit ~updaters () =
-  let v = V.create () in
+(* The commit coordinator of lib/core (DESIGN.md §4d).  The last
+   updater is checked: its verify reads the shared state under Update,
+   so it must never join a forming group — it waits until that group
+   is sealed and retries.  The leader's linger is modeled with its exit
+   rule: it looks again while a group member may still come (an
+   updater queued on Update, or a group smaller than the last one)
+   unless a checked updater awaits the seal; a bound on looks stands in
+   for the last-flush deadline.  The Update lock is a one-step token here (the
+   lock scenarios above exhaust the Vlock protocol itself), which keeps
+   the space small enough to exhaust at three updaters.  With
+   [serial:false] the checked updater joins like any other — the bug
+   the serial rule exists to prevent. *)
+type model_group = {
+  mutable mg_members : int list;  (* join order *)
+  mutable mg_sealed : bool;
+  mutable mg_awaited : bool;
+}
+
+let linger_looks = 2
+
+let group_commit_model ~serial ~updaters () =
+  let update_held = ref false and update_queued = ref 0 in
+  (* Take Update and run [f] under it as one scheduling point: between
+     acquiring Update and the next blocking call the coordinator only
+     touches state that Update or the gc mutex guards, so no other
+     thread can observe the difference. *)
+  let under_update label f =
+    incr update_queued;
+    Schedcheck.step label
+      ~enabled:(fun () -> not !update_held)
+      ~run:(fun () ->
+        update_held := true;
+        decr update_queued;
+        f ())
+  in
+  let release_update () = update_held := false in
   let gc_m = Schedcheck.Mutex.create "gc.mutex" in
   let gc_c = Schedcheck.Cond.create "gc.cond" in
-  let forming = ref [] in
+  let forming = ref None in
   let committing = ref false in
+  let last_joined = ref 1 in
+  let staged = ref 0 and applied = ref 0 in
   let next_lsn = ref 0 in
   let flushes = ref 0 in
   let groups = ref 0 in
   let lsn = Array.make updaters 0 in
   let woken = Array.make updaters false in
-  let updater i () =
+  let checked = updaters - 1 in
+  let lead g =
+    (* Claim the ordered commit slot. *)
     Schedcheck.Mutex.lock gc_m;
-    forming := !forming @ [ i ];
-    if List.length !forming = 1 then begin
-      (* Leader: claim the ordered commit slot, seal the group. *)
-      while !committing do
-        Schedcheck.Cond.wait gc_c gc_m
-      done;
-      committing := true;
-      let group = !forming in
-      forming := [];
-      incr groups;
-      Schedcheck.Mutex.unlock gc_m;
-      (* Log write + fsync happen under Update, outside the gc mutex. *)
-      V.acquire v Update;
-      check !committing "group-commit: flush outside the commit slot";
-      Schedcheck.yield "fsync";
-      incr flushes;
-      V.upgrade v;
-      List.iter
-        (fun m ->
-          incr next_lsn;
-          lsn.(m) <- !next_lsn)
-        group;
-      V.release v Exclusive;
+    while !committing do
+      Schedcheck.Cond.wait gc_c gc_m
+    done;
+    committing := true;
+    Schedcheck.Mutex.unlock gc_m;
+    (* Linger, Update not held, so joiners can verify and join. *)
+    let rec linger looks =
+      if looks > 0 then begin
+        let again = ref false in
+        Schedcheck.Mutex.atomically gc_m "linger.look" (fun () ->
+            again :=
+              (not g.mg_awaited)
+              && (List.length g.mg_members < !last_joined || !update_queued > 0));
+        if !again then linger (looks - 1)
+      end
+    in
+    linger linger_looks;
+    (* Seal under Update; Update stays held through the apply. *)
+    let members = ref [] in
+    under_update "seal" (fun () ->
+        forming := None;
+        g.mg_sealed <- true;
+        members := g.mg_members);
+    incr groups;
+    check !committing "group-commit: flush outside the commit slot";
+    Schedcheck.yield "fsync";
+    incr flushes;
+    last_joined := List.length !members;
+    List.iter
+      (fun m ->
+        incr next_lsn;
+        incr applied;
+        lsn.(m) <- !next_lsn)
+      !members;
+    release_update ();
+    Schedcheck.Mutex.atomically gc_m "wake" (fun () ->
+        committing := false;
+        List.iter (fun m -> woken.(m) <- true) !members);
+    Schedcheck.Cond.broadcast gc_c
+  in
+  let rec updater i () =
+    let step = ref `Member in
+    under_update "verify+join" (fun () ->
+        match !forming with
+        | Some g when serial && i = checked ->
+          (* Never join a non-empty group. *)
+          g.mg_awaited <- true;
+          step := `Await g
+        | _ ->
+          (* Verify: reads the shared state under Update. *)
+          if i = checked then
+            check (!applied = !staged)
+              "group-commit: checked verify missed an update staged before it";
+          incr staged;
+          (match !forming with
+          | Some g -> g.mg_members <- g.mg_members @ [ i ]
+          | None ->
+            let g = { mg_members = [ i ]; mg_sealed = false; mg_awaited = false } in
+            forming := Some g;
+            step := `Lead g));
+    release_update ();
+    match !step with
+    | `Await g ->
+      (* Wait for the seal, then retry. *)
       Schedcheck.Mutex.lock gc_m;
-      committing := false;
-      List.iter (fun m -> woken.(m) <- true) group;
-      Schedcheck.Mutex.unlock gc_m;
-      Schedcheck.Cond.broadcast gc_c
-    end
-    else begin
-      (* Member: park until the leader publishes my outcome. *)
-      while not woken.(i) do
+      while not g.mg_sealed do
         Schedcheck.Cond.wait gc_c gc_m
       done;
       Schedcheck.Mutex.unlock gc_m;
+      updater i ()
+    | `Lead g -> lead g
+    | `Member ->
+      (* Park until the leader publishes my outcome. *)
+      Schedcheck.step "park" ~enabled:(fun () -> woken.(i));
       check (lsn.(i) > 0) "group-commit: woken without an assigned LSN"
-    end
   in
   Schedcheck.scenario
-    ~invariant:(lock_invariant v)
+    ~invariant:(fun () ->
+      check (!update_queued >= 0) "group-commit: negative Update queue")
     ~finale:(fun () ->
-      drained v ();
+      check (not !update_held) "group-commit: Update still held at end";
       check (not !committing) "group-commit: commit slot still held at end";
-      check (!forming = []) "group-commit: members left in a forming group";
+      check (!forming = None) "group-commit: members left in a forming group";
       check (!flushes = !groups) "group-commit: one flush per group violated";
       check (!next_lsn = updaters) "group-commit: LSNs not dense";
       Array.iteri
@@ -237,6 +314,10 @@ let group_commit ~updaters () =
         (sorted = List.init updaters (fun i -> i + 1))
         "group-commit: duplicate or out-of-range LSN")
     (List.init updaters (fun i -> (Printf.sprintf "updater%d" i, updater i)))
+
+let group_commit ~updaters () = group_commit_model ~serial:true ~updaters ()
+
+let group_commit_unserial () = group_commit_model ~serial:false ~updaters:2 ()
 
 (* ------------------------------------------------------------------ *)
 

@@ -38,12 +38,25 @@ val upgrade_vs_readers_broken : unit -> Schedcheck.scenario
     observes the torn intermediate state. *)
 
 val group_commit : updaters:int -> unit -> Schedcheck.scenario
-(** The group-commit coordinator (DESIGN.md §4d): join a forming group
-    under the gc mutex, leader claims the ordered commit slot, seals
-    under Update, flushes once, upgrades to apply with dense LSNs,
-    wakes parked members.  Checks: one flush per group, commit-slot
-    exclusivity, dense LSN assignment, every member woken with an
-    outcome, lock invariants throughout. *)
+(** The commit coordinator (DESIGN.md §4d): verify and join a forming
+    group under Update, leader claims the ordered commit slot, lingers
+    by the shipped exit rule (looks again only while an updater is
+    queued on Update or the group is smaller than the last one, never
+    while a checked updater awaits the seal; a bound on looks stands in
+    for the last-flush deadline), seals under Update, flushes once,
+    upgrades to apply with dense LSNs, wakes parked members.  The last
+    updater is checked: it never joins a non-empty group but waits for
+    the seal and retries, and its verify, reading the shared state
+    under Update, must see every update staged before it.  Checks:
+    serial verification, one flush per group, commit-slot exclusivity,
+    dense LSN assignment, every member woken with an outcome, Update
+    released at the end.  Update is a one-step token here; the lock
+    scenarios above exhaust the Vlock protocol itself. *)
+
+val group_commit_unserial : unit -> Schedcheck.scenario
+(** Detector of the detector: two updaters, the checked one joining a
+    forming group like any other.  The explorer must find a schedule
+    where its verify misses an update staged before it. *)
 
 val replica_outbox : pushes:int -> capacity:int -> unit -> Schedcheck.scenario
 (** The bounded per-peer outbox hand-off ([lib/replica]): a committer

@@ -94,13 +94,10 @@ let round ~seed r =
   let store = Mem.create_store ~seed:((seed * 1000) + r) () in
   let ctl, ffs = Fault.wrap ~seed:((seed * 7) + r) (Mem.fs store) in
   let n = 40 in
-  (* Alternate rounds run through the group-commit coordinator: the
-     workload is single-threaded, so every update is a group of one —
-     same guarantees, different commit path under fault fire. *)
-  let config =
-    { Smalldb.default_config with group_commit = r mod 2 = 1 }
-  in
-  logf "round %d.%d%s" seed r (if config.Smalldb.group_commit then " (grouped)" else "");
+  (* Every round runs through the group-commit coordinator: the
+     workload is single-threaded, so every update is a group of one. *)
+  let config = Smalldb.default_config in
+  logf "round %d.%d" seed r;
   match Db.open_ ~config ffs with
   | Error e ->
     (* Can only happen if creation itself was faulted — not possible

@@ -128,7 +128,7 @@ let test_batch_single_sync () =
   let before = Fs.Counters.copy fs.Fs.counters in
   KVDb.update_batch db (List.init 5 sequenced_update);
   let d = Fs.Counters.diff ~after:fs.Fs.counters ~before in
-  check Alcotest.int "five writes" 5 d.Fs.Counters.data_writes;
+  check Alcotest.int "one write" 1 d.Fs.Counters.data_writes;
   check Alcotest.int "one sync" 1 d.Fs.Counters.syncs;
   check Alcotest.int "all applied" 5 (sequenced_prefix db);
   check Alcotest.int "lsn" 5 (KVDb.stats db).Smalldb.lsn;
@@ -293,6 +293,37 @@ let test_policy_every_n_batch_crossing () =
   check Alcotest.int "counter reset at the checkpoint" 2
     (KVDb.stats db).Smalldb.checkpoints_written;
   check Alcotest.int "nothing lost" 12 (sequenced_prefix db)
+
+let test_policy_every_n_concurrent_no_duplicates () =
+  (* Racing updaters must not each write the checkpoint the policy asks
+     for once: the due check and the checkpoint run inside the commit
+     slot, so there is at most one checkpoint per [n] committed
+     updates.  A slow fsync keeps the updaters overlapping. *)
+  let n = 10 in
+  let store = Mem.create_store ~seed:31 () in
+  let ctl, ffs = Sdb_storage.Fault_fs.wrap (Mem.fs store) in
+  Sdb_storage.Fault_fs.set_latency ctl ~op:`Sync 0.0002;
+  let config = { Smalldb.default_config with policy = Smalldb.Every_n_updates n } in
+  let db = KVDb.open_exn ~config ffs in
+  let threads = 4 and per_thread = 200 in
+  List.init threads (fun tid ->
+      Thread.create
+        (fun () ->
+          for i = 0 to per_thread - 1 do
+            set db (Printf.sprintf "t%d-%03d" tid i) "v"
+          done)
+        ())
+  |> List.iter Thread.join;
+  let s = KVDb.stats db in
+  check Alcotest.int "every update committed" (threads * per_thread)
+    s.Smalldb.updates_committed;
+  check Alcotest.bool
+    (Printf.sprintf "%d checkpoints for %d updates (policy: at most %d)"
+       s.Smalldb.checkpoints_written s.Smalldb.updates_committed
+       (s.Smalldb.updates_committed / n))
+    true
+    (s.Smalldb.checkpoints_written <= s.Smalldb.updates_committed / n);
+  KVDb.close db
 
 let test_policy_log_bytes () =
   let config =
@@ -1141,6 +1172,8 @@ let () =
           Alcotest.test_case "every n updates" `Quick test_policy_every_n;
           Alcotest.test_case "batch crosses the boundary" `Quick
             test_policy_every_n_batch_crossing;
+          Alcotest.test_case "every n: no duplicate checkpoints" `Quick
+            test_policy_every_n_concurrent_no_duplicates;
           Alcotest.test_case "log bytes threshold" `Quick test_policy_log_bytes;
           Alcotest.test_case "manual never auto" `Quick test_manual_policy_never_auto;
         ] );

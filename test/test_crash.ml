@@ -186,7 +186,7 @@ let test_crash_inside_checkpoint () =
    point inside the 3-member group at the end — recovery must land on
    exactly the whole-frame prefix and reopen clean. *)
 let test_torn_group_sweep () =
-  let gconfig = Some { Smalldb.default_config with group_commit = true } in
+  let gconfig = Some Smalldb.default_config in
   (* Single-threaded and seed-fixed, so every build writes the same
      log bytes: three solo commits, then one 3-member group. *)
   let build () =

@@ -15,8 +15,7 @@ module Fault = Sdb_storage.Fault_fs
 module Metrics = Sdb_obs.Metrics
 open Helpers
 
-let grouped ?(delay = 0.005) () =
-  { Smalldb.default_config with group_commit = true; max_group_delay = delay }
+let grouped () = Smalldb.default_config
 
 let mem_grouped ?config () =
   let config = match config with Some c -> c | None -> grouped () in
@@ -175,6 +174,43 @@ let test_precondition_fails_only_its_member () =
   check Alcotest.bool "healthy" true (KVDb.health db = `Healthy);
   KVDb.close db
 
+(* The paper's "explore" step under contention: two create-if-absent
+   updates start together, and each precondition looks for the key,
+   then spends 0.5 ms deciding.  Preconditions are serial — each sees
+   every update committed before it — so at most one of them creates. *)
+let test_preconditions_are_serial () =
+  let trials = 300 and doubles = ref 0 in
+  for _ = 1 to trials do
+    let _, _, db = mem_grouped () in
+    let m = Mutex.create () and c = Condition.create () in
+    let arrived = ref 0 and created = Atomic.make 0 in
+    let barrier () =
+      Mutex.lock m;
+      incr arrived;
+      Condition.broadcast c;
+      while !arrived < 2 do
+        Condition.wait c m
+      done;
+      Mutex.unlock m
+    in
+    let create_if_absent v () =
+      barrier ();
+      let precondition st =
+        let absent = not (Hashtbl.mem st "k") in
+        Thread.delay 0.0005;
+        if absent then Ok () else Error ()
+      in
+      match KVDb.update_checked db ~precondition (KV.Set ("k", v)) with
+      | Ok () -> Atomic.incr created
+      | Error () -> ()
+    in
+    List.map (fun v -> Thread.create (create_if_absent v) ()) [ "a"; "b" ]
+    |> List.iter Thread.join;
+    if Atomic.get created = 2 then incr doubles;
+    KVDb.close db
+  done;
+  check Alcotest.int "trials where both updates created the key" 0 !doubles
+
 (* ------------------------------------------------------------------ *)
 (* Group-wide failures                                                 *)
 
@@ -279,6 +315,8 @@ let () =
             test_concurrent_dense_lsns_stage_order;
           Alcotest.test_case "precondition fails only its member" `Quick
             test_precondition_fails_only_its_member;
+          Alcotest.test_case "preconditions are serial" `Quick
+            test_preconditions_are_serial;
         ] );
       ( "failures",
         [

@@ -269,7 +269,6 @@ let test_engine_stress () =
   let config =
     {
       Smalldb.default_config with
-      group_commit = true;
       policy = Smalldb.Every_n_updates 64;
     }
   in

@@ -116,6 +116,10 @@ let test_epoch_broken_mutation () =
   assert_caught "epoch_broken_mutation" Scen.epoch_broken_mutation
     ~mentioning:[ "torn read" ]
 
+let test_group_commit_unserial () =
+  assert_caught "group_commit_unserial" Scen.group_commit_unserial
+    ~mentioning:[ "missed an update staged before it" ]
+
 (* --- detector of the detector ------------------------------------- *)
 
 let test_broken_writer_caught () =
@@ -171,6 +175,8 @@ let () =
             test_upgrade_vs_readers;
           Alcotest.test_case "group commit: seal/flush/wake" `Quick
             test_group_commit;
+          Alcotest.test_case "checked member joining a group is caught" `Quick
+            test_group_commit_unserial;
           Alcotest.test_case "replica outbox hand-off" `Quick test_replica_outbox;
           Alcotest.test_case "failure detector: revive only by heartbeat" `Quick
             test_failure_detector;
