@@ -879,10 +879,33 @@ let e13 ~quick () =
        in about three weeks\""
 
 (* ------------------------------------------------------------------ *)
-(* E14: the S7 extension -- partitioned checkpoints over a shared log  *)
+(* E14: the S7 extension -- partitioned checkpoints, one log each      *)
 
-module MultiCrashDb = Sdb_multidb.Multidb.Make (CrashApp)
-module Multidb = Sdb_multidb.Multidb
+(* Machine-readable results, written by [--json FILE] so CI can keep a
+   throughput baseline artifact.  Each entry is a rendered JSON object. *)
+let json_rows : string list ref = ref []
+let json_add row = json_rows := row :: !json_rows
+
+let write_json file =
+  write_json_rows file (List.rev !json_rows);
+  Printf.printf "\njson results written to %s\n" file
+
+(* The host a row was measured on: core count, OCaml version, source
+   revision and run mode travel with every row. *)
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let rev = try String.trim (input_line ic) with End_of_file -> "" in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown")
+
+let host_json ~quick =
+  Printf.sprintf "\"cores\": %d, \"ocaml\": %S, \"git_rev\": %S, \"mode\": %S"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (git_rev ())
+    (if quick then "quick" else "full")
 
 let e14 ~quick () =
   section "e14"
@@ -890,97 +913,106 @@ let e14 ~quick () =
   let keys = if quick then 4_000 else 16_000 in
   let stream = if quick then 2_000 else 4_000 in
   let debt = 1_000 in
+  let partitions = 8 in
   (* Both designs keep the worst-case replay debt at [debt] updates:
      the monolith checkpoints everything every [debt] updates; the
-     partitioned store checkpoints one of its P partitions every
+     partitioned store checkpoints its largest-log partition every
      [debt]/P updates. *)
   let value = String.make 100 'v' in
-  let run_mono () =
-    let store = Mem.create_store ~seed:141 () in
+  (* Load [keys] keys, checkpoint, then stream random updates calling
+     [ckpt] every [every] of them; report the checkpoint blackouts (as
+     measured on Mem_fs and as modelled on 1987 hardware), the disk
+     traffic of the stream, and the restart that follows. *)
+  let run ~seed ~open_ ~update ~checkpoint_all ~every ~ckpt ~replayed ~close =
+    let store = Mem.create_store ~seed () in
     let fs = Mem.fs store in
-    let db = CrashDb.open_exn fs in
+    let db = open_ fs in
     for i = 0 to keys - 1 do
-      CrashDb.update db (CrashApp.Set (kv_key i, value))
+      update db i
     done;
-    CrashDb.checkpoint db;
+    checkpoint_all db;
     Fs.Counters.reset fs.Fs.counters;
     let blackouts = Histogram.create () in
     let model_blackouts = Histogram.create () in
-    let rng = Rng.create ~seed:142 in
+    let rng = Rng.create ~seed:(seed + 1) in
     for i = 1 to stream do
-      CrashDb.update db (CrashApp.Set (kv_key (Rng.int rng keys), value));
-      if i mod debt = 0 then begin
+      update db (Rng.int rng keys);
+      if i mod every = 0 then begin
         let snap = Cost.snapshot fs in
-        let (), ms = time_ms (fun () -> CrashDb.checkpoint db) in
+        let (), ms = time_ms (fun () -> ckpt db) in
         Histogram.record blackouts ms;
         Histogram.record model_blackouts
           (Cost.model costs (Cost.since snap fs)).Cost.total_model_ms
       end
     done;
     let traffic = fs.Fs.counters.Fs.Counters.bytes_written in
-    CrashDb.close db;
-    let _db2, restart_ms = time_ms (fun () -> CrashDb.open_exn fs) in
-    (blackouts, model_blackouts, traffic, restart_ms)
+    close db;
+    let db2, restart_ms = time_ms (fun () -> open_ fs) in
+    let replayed = replayed db2 in
+    close db2;
+    (blackouts, model_blackouts, traffic, restart_ms, replayed)
   in
-  let run_multi partitions =
-    let store = Mem.create_store ~seed:143 () in
-    let fs = Mem.fs store in
-    let config = { Multidb.default_config with log_switch_bytes = 256 * 1024 } in
-    let db = MultiCrashDb.open_exn ~config ~partitions fs in
-    for i = 0 to keys - 1 do
-      MultiCrashDb.update db ~partition:(i mod partitions)
-        (CrashApp.Set (kv_key i, value))
-    done;
-    MultiCrashDb.checkpoint_all db;
-    Fs.Counters.reset fs.Fs.counters;
-    let blackouts = Histogram.create () in
-    let model_blackouts = Histogram.create () in
-    let rng = Rng.create ~seed:144 in
-    for i = 1 to stream do
-      let key = Rng.int rng keys in
-      MultiCrashDb.update db ~partition:(key mod partitions)
-        (CrashApp.Set (kv_key key, value));
-      if i mod (debt / partitions) = 0 then begin
-        let snap = Cost.snapshot fs in
-        let (), ms = time_ms (fun () -> MultiCrashDb.checkpoint_next db) in
-        Histogram.record blackouts ms;
-        Histogram.record model_blackouts
-          (Cost.model costs (Cost.since snap fs)).Cost.total_model_ms
-      end
-    done;
-    let traffic = fs.Fs.counters.Fs.Counters.bytes_written in
-    MultiCrashDb.close db;
-    let db2, restart_ms =
-      time_ms (fun () -> MultiCrashDb.open_exn ~config ~partitions fs)
-    in
-    MultiCrashDb.close db2;
-    (blackouts, model_blackouts, traffic, restart_ms)
+  let set db key = CrashDb.update db (CrashApp.Set (kv_key key, value)) in
+  let mono () =
+    run ~seed:141 ~open_:(fun fs -> CrashDb.open_exn fs) ~update:set
+      ~checkpoint_all:CrashDb.checkpoint ~every:debt ~ckpt:CrashDb.checkpoint
+      ~replayed:(fun db -> (CrashDb.stats db).recovery.replayed)
+      ~close:CrashDb.close
   in
-  let row label (blackouts, model_blackouts, traffic, restart_ms) =
+  let partitioned () =
+    let module Part = CrashDb.Partitioned in
+    let each db f = List.init partitions (fun k -> f (Part.partition db k)) in
+    run ~seed:143
+      ~open_:(fun fs -> Part.open_exn ~partitions fs)
+      ~update:(fun db key -> set (Part.partition db (key mod partitions)) key)
+      ~checkpoint_all:(fun db -> ignore (each db CrashDb.checkpoint : unit list))
+      ~every:(debt / partitions) ~ckpt:Part.checkpoint_next
+      ~replayed:(fun db ->
+        List.fold_left ( + ) 0
+          (each db (fun p -> (CrashDb.stats p).recovery.replayed)))
+      ~close:Part.close
+  in
+  let row (design, parts) (blackouts, model_blackouts, traffic, restart_ms, replayed) =
+    json_add
+      (Printf.sprintf
+         "{\"experiment\": \"e14\", \"design\": %S, \"partitions\": %d, \
+          \"ckpt_events\": %d, \"blackout_model_mean_ms\": %.1f, \
+          \"blackout_mean_ms\": %.3f, \"blackout_max_ms\": %.3f, \
+          \"disk_bytes\": %d, \"replayed\": %d, \"debt_bound\": %d, \
+          \"restart_ms\": %.3f, %s}"
+         design parts (Histogram.count blackouts)
+         (Histogram.mean model_blackouts) (Histogram.mean blackouts)
+         (Histogram.max blackouts) traffic replayed debt restart_ms
+         (host_json ~quick));
     [
-      label;
+      (if parts = 1 then "monolithic (the paper)"
+       else Printf.sprintf "%d partitions, one engine each" parts);
       string_of_int (Histogram.count blackouts);
       fmt_ms (Histogram.mean blackouts);
       fmt_ms (Histogram.max blackouts);
       Printf.sprintf "%.1f s" (Histogram.mean model_blackouts /. 1000.);
       fmt_bytes traffic;
+      string_of_int replayed;
       fmt_ms restart_ms;
     ]
   in
+  let mono_row = row ("monolithic", 1) (mono ()) in
+  let partitioned_row = row ("partitioned", partitions) (partitioned ()) in
   Tablefmt.print
     ~header:
       [
         "design"; "ckpt events"; "blackout mean"; "blackout max"; "blackout 1987";
-        "disk traffic"; "restart";
+        "disk traffic"; "replayed"; "restart";
       ]
-    [ row "monolithic (the paper)" (run_mono ());
-      row "8 partitions, shared log" (run_multi 8) ];
+    [ mono_row; partitioned_row ];
   note
-    "equal replay-debt bound (%d updates): the partitioned store pays the same      total checkpoint traffic in 8x more, 8x shorter update blackouts" debt;
+    "equal replay-debt bound (%d updates): the partitioned store pays the same \
+     total checkpoint traffic in %dx more, %dx shorter update blackouts"
+    debt partitions partitions;
   paper
     "S7: many larger databases could be handled by considering them as multiple \
-     separate databases for the purpose of writing checkpoints, with a single \
-     log file and more complicated rules for flushing the log"
+     separate databases for the purpose of writing checkpoints, using multiple \
+     log files -- one ordinary engine per partition"
 
 (* ------------------------------------------------------------------ *)
 (* E15: update availability during a checkpoint                        *)
@@ -1087,26 +1119,6 @@ let e15 ~quick () =
 
 module Fault = Sdb_storage.Fault_fs
 
-(* Machine-readable results, written by [--json FILE] so CI can keep a
-   throughput baseline artifact.  Each entry is a rendered JSON object. *)
-let json_rows : string list ref = ref []
-let json_add row = json_rows := row :: !json_rows
-
-let write_json file =
-  write_json_rows file (List.rev !json_rows);
-  Printf.printf "\njson results written to %s\n" file
-
-(* The host an E16 row was measured on: core count, OCaml version,
-   source revision and run mode travel with every row. *)
-let git_rev () =
-  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
-  | exception Unix.Unix_error _ -> "unknown"
-  | ic ->
-    let rev = try String.trim (input_line ic) with End_of_file -> "" in
-    (match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when rev <> "" -> rev
-    | _ -> "unknown")
-
 let e16 ~quick () =
   section "e16"
     "commit groups: concurrent updaters share one log write and one fsync";
@@ -1163,13 +1175,7 @@ let e16 ~quick () =
   done;
   let q h p = Histogram.percentile h p in
   let base = q (fst (List.assoc 1 samples)) 50. in
-  let host =
-    Printf.sprintf
-      "\"cores\": %d, \"ocaml\": %S, \"git_rev\": %S, \"mode\": %S"
-      (Domain.recommended_domain_count ())
-      Sys.ocaml_version (git_rev ())
-      (if quick then "quick" else "full")
-  in
+  let host = host_json ~quick in
   let rows =
     List.map
       (fun (threads, (rates, spus)) ->

@@ -1,16 +1,16 @@
 (* The §7 extension in action: "the directories of a large file system
    ... handled by considering them as multiple separate databases for
-   the purpose of writing checkpoints", over a single shared log.
+   the purpose of writing checkpoints", with one log file per partition.
 
    A toy file-directory service: 4 partitions (hash of the directory
-   name), every update one shared-log write, checkpoints one partition
-   at a time — the whole database is never pickled in one blocking
-   operation.
+   name), each an ordinary engine with its own checkpoint and log;
+   every update is one log write in its partition, and checkpoints
+   happen one partition at a time — the whole database is never pickled
+   in one blocking operation.
 
    Run with:  dune exec examples/partitioned_directory.exe *)
 
 module P = Sdb_pickle.Pickle
-module Multidb = Sdb_multidb.Multidb
 module Mem = Sdb_storage.Mem_fs
 
 module Dirs = struct
@@ -54,60 +54,49 @@ module Dirs = struct
       st
 end
 
-module Db = Multidb.Make (Dirs)
+module Db = Smalldb.Make (Dirs)
 
 let partitions = 4
 let partition_of dir = Hashtbl.hash dir mod partitions
 
+let count_files db dir =
+  Db.query (Db.Partitioned.partition db (partition_of dir)) (fun st ->
+      match Hashtbl.find_opt st dir with Some t -> Hashtbl.length t | None -> 0)
+
+let per_partition db f =
+  List.init partitions (fun k -> f k (Db.stats (Db.Partitioned.partition db k)))
+
 let () =
   let store = Mem.create_store ~seed:7 () in
   let fs = Mem.fs store in
-  let config =
-    {
-      Multidb.log_switch_bytes = 8 * 1024;
-      (* checkpoint one partition every 50 updates, round-robin: the
-         incremental version of the paper's nightly checkpoint *)
-      auto_checkpoint_round_robin = Some 50;
-    }
-  in
-  let db = Db.open_exn ~config ~partitions fs in
+  (* Each partition checkpoints itself every 50 of its own updates: the
+     incremental version of the paper's nightly checkpoint. *)
+  let config = { Smalldb.default_config with policy = Smalldb.Every_n_updates 50 } in
+  let db = Db.Partitioned.open_exn ~config ~partitions fs in
 
   (* Populate a few hundred files across directories. *)
   let rng = Sdb_util.Rng.create ~seed:8 in
+  let update dir u = Db.update (Db.Partitioned.partition db (partition_of dir)) u in
   for i = 0 to 399 do
     let dir = Printf.sprintf "/home/user%d" (i mod 7) in
     let file = Printf.sprintf "file%03d.txt" i in
-    Db.update db ~partition:(partition_of dir)
-      (Dirs.Create_file (dir, file, Sdb_util.Rng.int rng 100_000))
+    update dir (Dirs.Create_file (dir, file, Sdb_util.Rng.int rng 100_000))
   done;
-  Db.update db ~partition:(partition_of "/home/user3")
-    (Dirs.Delete_file ("/home/user3", "file003.txt"));
+  update "/home/user3" (Dirs.Delete_file ("/home/user3", "file003.txt"));
 
   (* Enquiries hit only the partition that owns the directory. *)
-  let count_files dir =
-    Db.query db ~partition:(partition_of dir) (fun st ->
-        match Hashtbl.find_opt st dir with Some t -> Hashtbl.length t | None -> 0)
-  in
-  Printf.printf "/home/user3 holds %d files\n" (count_files "/home/user3");
+  Printf.printf "/home/user3 holds %d files\n" (count_files db "/home/user3");
+  List.iter print_endline
+    (per_partition db (fun k s ->
+         Printf.sprintf "  partition %d: %d updates, checkpoint v%d, %d log entries" k
+           s.Smalldb.lsn s.Smalldb.generation s.Smalldb.log_entries));
 
-  let s = Db.stats db in
-  Printf.printf "%d updates over %d partitions; %d live shared-log generation(s)\n"
-    s.Multidb.lsn s.Multidb.partitions s.Multidb.log_generations;
-  List.iter
-    (fun p ->
-      Printf.printf "  partition %d: checkpoint v%d at lsn %d\n" p.Multidb.p_index
-        p.Multidb.p_checkpoint_version p.Multidb.p_checkpoint_lsn)
-    s.Multidb.parts;
-
-  (* Restart: each partition replays only its own suffix. *)
-  Db.close db;
-  let db2 = Db.open_exn ~config ~partitions fs in
-  let s2 = Db.stats db2 in
-  Printf.printf "after restart: lsn %d, replayed %d entries (of %d ever committed)\n"
-    s2.Multidb.lsn s2.Multidb.replayed s2.Multidb.lsn;
-  Printf.printf "/home/user3 still holds %d files\n"
-    (Db.query db2 ~partition:(partition_of "/home/user3") (fun st ->
-         match Hashtbl.find_opt st "/home/user3" with
-         | Some t -> Hashtbl.length t
-         | None -> 0));
-  Db.close db2
+  (* Restart: each partition replays only its own log. *)
+  Db.Partitioned.close db;
+  let db2 = Db.Partitioned.open_exn ~config ~partitions fs in
+  let sum f = List.fold_left ( + ) 0 (per_partition db2 (fun _ s -> f s)) in
+  Printf.printf "after restart: replayed %d entries (of %d ever committed)\n"
+    (sum (fun s -> s.Smalldb.recovery.Smalldb.replayed))
+    (sum (fun s -> s.Smalldb.lsn));
+  Printf.printf "/home/user3 still holds %d files\n" (count_files db2 "/home/user3");
+  Db.Partitioned.close db2

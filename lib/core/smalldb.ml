@@ -1590,4 +1590,74 @@ module Make (App : APP) = struct
 
   let open_exn ?config fs =
     match open_ ?config fs with Ok t -> t | Error e -> failwith e
+
+  (* §7's "multiple log files" option: one ordinary engine per
+     partition, each over the [part<k>-] view of the store.  The only
+     shared fact on disk is the partition count, committed with the
+     same write-new-then-rename discipline as the [version] file once
+     every partition exists. *)
+  module Partitioned = struct
+    type db = t
+    type nonrec t = db array
+
+    let count_file = "partitions"
+    let new_count_file = "newpartitions"
+
+    let open_ ?config ~partitions fs =
+      if partitions < 1 then
+        invalid_arg "Smalldb.Partitioned.open_: partitions must be positive";
+      let stored =
+        if fs.Fs.exists count_file then
+          match Fs.read_file fs count_file with
+          | exception (Fs.Read_error _ | Fs.Io_error _) -> Some None
+          | count -> Some (int_of_string_opt (String.trim count))
+        else None
+      in
+      match stored with
+      | Some None -> Error "partitioned store: partitions file unreadable"
+      | Some (Some n) when n <> partitions ->
+        Error
+          (Printf.sprintf "partitioned store has %d partitions, %d requested" n
+             partitions)
+      | Some (Some _) | None -> (
+        let opened = ref [] in
+        let rec open_from k =
+          if k = partitions then Ok (Array.of_list (List.rev !opened))
+          else
+            match open_ ?config (Fs.sub fs (Printf.sprintf "part%d-" k)) with
+            | Error e -> Error (Printf.sprintf "partition %d: %s" k e)
+            | Ok db ->
+              opened := db :: !opened;
+              open_from (k + 1)
+        in
+        match open_from 0 with
+        | Ok t ->
+          if stored = None then begin
+            Fs.write_file fs new_count_file (string_of_int partitions);
+            fs.Fs.rename new_count_file count_file
+          end;
+          Ok t
+        | Error _ as e ->
+          List.iter close !opened;
+          e
+        | exception e ->
+          List.iter close !opened;
+          raise e)
+
+    let open_exn ?config ~partitions fs =
+      match open_ ?config ~partitions fs with Ok t -> t | Error e -> failwith e
+
+    let partition t k =
+      if k < 0 || k >= Array.length t then
+        invalid_arg (Printf.sprintf "Smalldb.Partitioned: partition %d out of range" k);
+      t.(k)
+
+    let checkpoint_next t =
+      let log_bytes = Array.map (fun db -> (stats db).log_bytes) t in
+      let largest = ref 0 in
+      Array.iteri (fun k b -> if b > log_bytes.(!largest) then largest := k) log_bytes;
+      checkpoint t.(!largest)
+
+    let close t = Array.iter close t
+  end
 end

@@ -356,4 +356,47 @@ module Make (App : APP) : sig
   val close : t -> unit
   (** Close file handles.  No checkpoint is taken; the log is the
       authoritative tail, exactly as after a crash. *)
+
+  (** A larger database split into independent partitions for the
+      purpose of writing checkpoints — §7: "we could either use
+      multiple log files or a single log file with more complicated
+      rules for flushing the log".  This is the multiple-log-files
+      option: each partition is an ordinary engine with its own
+      checkpoint and log, stored under the [part<k>-] name prefix of
+      the one {!Sdb_storage.Fs.t} (see {!Sdb_storage.Fs.sub}).  A
+      partition therefore commits, checkpoints, recovers, degrades and
+      scrubs exactly like a single store, and a failure or a long
+      precondition in one partition never holds up another.  An update
+      touches one partition; there are no cross-partition
+      transactions.  The store records only its partition count, in a
+      [partitions] file. *)
+  module Partitioned : sig
+    type engine := t
+    type t
+
+    val open_ :
+      ?config:config -> partitions:int -> Sdb_storage.Fs.t -> (t, string) result
+    (** Create [partitions] empty partitions, or recover each one.
+        Every partition runs with [config], so automatic checkpointing
+        comes from each partition's own [policy].  The count is fixed
+        at creation: reopening with another count is an [Error].
+        Raises [Invalid_argument] unless [partitions] is positive. *)
+
+    val open_exn :
+      ?config:config -> partitions:int -> Sdb_storage.Fs.t -> t
+
+    val partition : t -> int -> engine
+    (** The engine of partition [k]; query, update, checkpoint, scrub
+        and inspect it like any single store.  Raises
+        [Invalid_argument] when [k] is out of range. *)
+
+    val checkpoint_next : t -> unit
+    (** Checkpoint the partition holding the most log bytes (ties go
+        to the lowest index).  Calling this periodically bounds every
+        partition's replay debt without ever pickling the whole
+        database at once. *)
+
+    val close : t -> unit
+    (** Close every partition. *)
+  end
 end

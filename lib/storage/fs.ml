@@ -138,6 +138,29 @@ type t = {
   counters : Counters.t;
 }
 
+let sub fs prefix =
+  let name file = prefix ^ file in
+  let strip file =
+    if String.starts_with ~prefix file then
+      Some (String.sub file (String.length prefix)
+              (String.length file - String.length prefix))
+    else None
+  in
+  {
+    fs_name = fs.fs_name ^ "/" ^ prefix;
+    list_files = (fun () -> List.filter_map strip (fs.list_files ()));
+    exists = (fun f -> fs.exists (name f));
+    file_size = (fun f -> fs.file_size (name f));
+    open_reader = (fun f -> fs.open_reader (name f));
+    create = (fun f -> fs.create (name f));
+    open_append = (fun f -> fs.open_append (name f));
+    open_random = (fun f -> fs.open_random (name f));
+    rename = (fun src dst -> fs.rename (name src) (name dst));
+    remove = (fun f -> fs.remove (name f));
+    truncate = (fun f len -> fs.truncate (name f) len);
+    counters = fs.counters;
+  }
+
 let read_file fs file =
   let r = fs.open_reader file in
   let buf = Buffer.create (max 64 r.r_size) in

@@ -127,6 +127,16 @@ type t = {
   counters : Counters.t;
 }
 
+val sub : t -> string -> t
+(** [sub fs prefix] is the view of the files of [fs] whose names start
+    with [prefix], with the prefix removed: [create "logfile0"] on the
+    view creates [prefix ^ "logfile0"] in [fs], and [list_files] lists
+    only the view's own files.  There are no directories; a view is
+    confined by its name prefix alone, so two views must use prefixes
+    neither of which extends the other ([part1-] and [part10-], not
+    [part1] and [part10]).  The view shares [fs]'s {!Counters} and
+    its failure behaviour (crashes, faults, capacity). *)
+
 val read_file : t -> string -> string
 (** Whole-file read.  Raises {!Read_error} or {!Io_error}. *)
 

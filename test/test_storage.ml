@@ -93,6 +93,52 @@ let test_real_reject_paths () =
   | exception Fs.Io_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Prefix views                                                        *)
+
+let test_sub_basic () = basic_suite (fun () -> Fs.sub (snd (mem ())) "part3-") ()
+
+(* Eleven views over one store: [part1-] must not see [part10-]'s files,
+   and nothing done through one view touches another's. *)
+let test_sub_confined () =
+  let _store, fs = mem () in
+  let view = Array.init 11 (fun k -> Fs.sub fs (Printf.sprintf "part%d-" k)) in
+  write fs "partitions" "11";
+  Array.iteri (fun k v -> write v "f" (string_of_int k)) view;
+  write view.(10) "g" "ten";
+  check Alcotest.(list string) "part1- lists its own" [ "f" ] (view.(1).Fs.list_files ());
+  check Alcotest.(list string) "part10- lists its own" [ "f"; "g" ]
+    (List.sort compare (view.(10).Fs.list_files ()));
+  check Alcotest.bool "exists stays inside" false (view.(1).Fs.exists "g");
+  check Alcotest.bool "root file invisible" false (view.(1).Fs.exists "partitions");
+  view.(1).Fs.rename "f" "g";
+  check Alcotest.string "renamed inside" "1" (read view.(1) "g");
+  check Alcotest.string "other view untouched" "ten" (read view.(10) "g");
+  check Alcotest.string "other f untouched" "10" (read view.(10) "f");
+  view.(1).Fs.remove "g";
+  check Alcotest.bool "removed inside" false (view.(1).Fs.exists "g");
+  check Alcotest.bool "other view keeps g" true (view.(10).Fs.exists "g");
+  let others = List.filter (fun k -> k <> 1) (List.init 11 Fun.id) in
+  check Alcotest.(list string) "root holds the prefixed names"
+    (List.sort compare
+       ("partitions" :: "part10-g"
+       :: List.map (fun k -> Printf.sprintf "part%d-f" k) others))
+    (List.sort compare (fs.Fs.list_files ()))
+
+let test_sub_shares_store () =
+  let store, fs = mem () in
+  let v = Fs.sub fs "part0-" in
+  Fs.Counters.reset fs.Fs.counters;
+  write v "f" "12345";
+  check Alcotest.int "counted on the store" 5 fs.Fs.counters.Fs.Counters.bytes_written;
+  check Alcotest.bool "one counter record" true (v.Fs.counters == fs.Fs.counters);
+  Mem.set_crash_after store ~ops:1 ~mode:Mem.Clean;
+  (match write v "g" "x" with
+  | () -> Alcotest.fail "expected the store's crash inside the view"
+  | exception Mem.Crash -> ());
+  Mem.disarm_crash store;
+  check Alcotest.bool "crash left no file" false (v.Fs.exists "g")
+
+(* ------------------------------------------------------------------ *)
 (* Crash semantics (mem only)                                          *)
 
 let test_clean_crash_drops_unsynced () =
@@ -425,6 +471,12 @@ let () =
           Alcotest.test_case "mem backend" `Quick test_mem_basic;
           Alcotest.test_case "real backend" `Quick test_real_basic;
           Alcotest.test_case "real rejects path escape" `Quick test_real_reject_paths;
+        ] );
+      ( "views",
+        [
+          Alcotest.test_case "sub view basics" `Quick test_sub_basic;
+          Alcotest.test_case "sub views confined" `Quick test_sub_confined;
+          Alcotest.test_case "sub views share the store" `Quick test_sub_shares_store;
         ] );
       ( "crash",
         [
