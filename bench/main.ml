@@ -40,6 +40,48 @@ end
    bytes of parameters behind the paper's 22 ms pickle time. *)
 let paper_value_len = 256
 
+(* Machine-readable results, written by [--json FILE] so CI can keep a
+   throughput baseline artifact.  Each entry is a rendered JSON object. *)
+let json_rows : string list ref = ref []
+let json_add row = json_rows := row :: !json_rows
+
+let write_json file =
+  write_json_rows file (List.rev !json_rows);
+  Printf.printf "\njson results written to %s\n" file
+
+(* The host a row was measured on: core count, OCaml version, source
+   revision and run mode travel with every row. *)
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let rev = try String.trim (input_line ic) with End_of_file -> "" in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown")
+
+let host_json ~quick =
+  Printf.sprintf "\"cores\": %d, \"ocaml\": %S, \"git_rev\": %S, \"mode\": %S"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (git_rev ())
+    (if quick then "quick" else "full")
+
+(* Words the calling domain allocated while [f] ran: the count behind a
+   "words per checkpoint" figure, repeatable run to run where a time is
+   not.  The runtime's counters are exact only between collections (it
+   folds minor-heap allocation in at each minor collection, and the
+   count shifts with where a major cycle stands), so a full major
+   collection is forced at both ends, outside [f]. *)
+let words_allocated f =
+  let words () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  let r = f () in
+  (r, words () -. before)
+
 (* ------------------------------------------------------------------ *)
 (* E1: enquiry latency                                                 *)
 
@@ -186,6 +228,13 @@ let e2 ~quick () =
 (* ------------------------------------------------------------------ *)
 (* E3: checkpoint cost vs database size                                *)
 
+(* Repetitions per row of E3 and E4: their rows report the median and
+   quartiles of the times, and the (repeatable) allocation counts. *)
+let ckpt_reps = 5
+
+let quartiles h =
+  (Histogram.percentile h 50., Histogram.percentile h 25., Histogram.percentile h 75.)
+
 let e3 ~quick () =
   section "e3" "checkpoint cost vs database size";
   let sizes =
@@ -197,31 +246,69 @@ let e3 ~quick () =
       (fun target ->
         let entries = entries_for_bytes target in
         let _store, fs, ns = build_ns ~entries ~seed:31 () in
-        let before = (Ns.stats ns).Smalldb.phase in
-        let snap = Cost.snapshot fs in
-        let (), elapsed_ms = time_ms (fun () -> Ns.checkpoint ns) in
-        let after = (Ns.stats ns).Smalldb.phase in
-        let model = Cost.model costs (Cost.since snap fs) in
+        let total = Histogram.create () in
+        let pickle = Histogram.create () in
+        let disk = Histogram.create () in
+        let words = Histogram.create () in
+        let model = ref None in
+        for _ = 1 to ckpt_reps do
+          let before = (Ns.stats ns).Smalldb.phase in
+          let snap = Cost.snapshot fs in
+          let ((), elapsed_ms), w =
+            words_allocated (fun () -> time_ms (fun () -> Ns.checkpoint ns))
+          in
+          let after = (Ns.stats ns).Smalldb.phase in
+          model := Some (Cost.model costs (Cost.since snap fs));
+          Histogram.record total elapsed_ms;
+          Histogram.record pickle
+            ((after.Smalldb.ckpt_pickle_s -. before.Smalldb.ckpt_pickle_s) *. 1000.);
+          Histogram.record disk
+            ((after.Smalldb.ckpt_write_s -. before.Smalldb.ckpt_write_s) *. 1000.);
+          Histogram.record words w
+        done;
         let gen = (Ns.stats ns).Smalldb.generation in
         let blob = fs.Fs.file_size (Store.checkpoint_file gen) in
+        let med, p25, p75 = quartiles total in
+        let words = Histogram.percentile words 50. in
+        let model = Option.get !model in
+        let model_s ms = ms /. 1000. in
+        json_add
+          (Printf.sprintf
+             "{\"experiment\": \"e3\", \"target_bytes\": %d, \"entries\": %d, \
+              \"reps\": %d, \"checkpoint_bytes\": %d, \"ms_median\": %.3f, \
+              \"ms_p25\": %.3f, \"ms_p75\": %.3f, \"pickle_ms_median\": %.3f, \
+              \"write_ms_median\": %.3f, \"words_per_checkpoint\": %.0f, \
+              \"model_1987_s\": %.1f, %s}"
+             target entries ckpt_reps blob med p25 p75
+             (Histogram.percentile pickle 50.)
+             (Histogram.percentile disk 50.)
+             words
+             (model_s model.Cost.total_model_ms)
+             (host_json ~quick));
         [
           fmt_bytes (db_weight ns);
           string_of_int entries;
           fmt_bytes blob;
-          fmt_ms elapsed_ms;
-          fmt_ms ((after.Smalldb.ckpt_pickle_s -. before.Smalldb.ckpt_pickle_s) *. 1000.);
-          fmt_ms ((after.Smalldb.ckpt_write_s -. before.Smalldb.ckpt_write_s) *. 1000.);
+          fmt_ms med;
+          Printf.sprintf "%s-%s" (fmt_ms p25) (fmt_ms p75);
+          fmt_ms (Histogram.percentile pickle 50.);
+          fmt_ms (Histogram.percentile disk 50.);
+          Printf.sprintf "%.0f" words;
           Printf.sprintf "%.0f s (%.0f + %.0f)"
-            (model.Cost.total_model_ms /. 1000.)
-            (model.Cost.pickle_model_ms /. 1000.)
-            (model.Cost.disk_model_ms /. 1000.);
+            (model_s model.Cost.total_model_ms)
+            (model_s model.Cost.pickle_model_ms)
+            (model_s model.Cost.disk_model_ms);
         ])
       sizes
   in
   Tablefmt.print
     ~header:
-      [ "db weight"; "entries"; "checkpoint"; "measured"; "pickle"; "disk"; "model 1987" ]
+      [
+        "db weight"; "entries"; "checkpoint"; "measured"; "quartiles"; "pickle"; "disk";
+        "words"; "model 1987";
+      ]
     rows;
+  note "median of %d checkpoints per row; words allocated per checkpoint" ckpt_reps;
   paper "a 1 MB checkpoint takes about one minute: 55 s pickling + 5 s disk writes"
 
 (* ------------------------------------------------------------------ *)
@@ -241,32 +328,69 @@ let e4 ~quick () =
           Ns.set_value ns (random_path rng entries)
             (Some (Rng.string rng ~len:paper_value_len))
         done;
+        let gen = (Ns.stats ns).Smalldb.generation in
+        let blob = fs.Fs.file_size (Store.checkpoint_file gen) in
         Ns.close ns;
-        let snap = Cost.snapshot fs in
-        let ns2, elapsed_ms = time_ms (fun () -> Ns.open_exn fs) in
-        let model = Cost.model costs (Cost.since ~modify_ops:loglen snap fs) in
-        let s = Ns.stats ns2 in
-        let restore_ms = s.Smalldb.phase.Smalldb.restore_s *. 1000. in
-        let replay_ms = s.Smalldb.phase.Smalldb.replay_s *. 1000. in
+        (* Opening replays the log without rewriting anything, so every
+           repetition restarts from the same files. *)
+        let total = Histogram.create () in
+        let restore = Histogram.create () in
+        let replay = Histogram.create () in
+        let words = Histogram.create () in
+        let model = ref 0. in
+        for _ = 1 to ckpt_reps do
+          let snap = Cost.snapshot fs in
+          let (ns2, elapsed_ms), w =
+            words_allocated (fun () -> time_ms (fun () -> Ns.open_exn fs))
+          in
+          model :=
+            (Cost.model costs (Cost.since ~modify_ops:loglen snap fs)).Cost.total_model_ms
+            /. 1000.;
+          let s = Ns.stats ns2 in
+          Histogram.record total elapsed_ms;
+          Histogram.record restore (s.Smalldb.phase.Smalldb.restore_s *. 1000.);
+          Histogram.record replay (s.Smalldb.phase.Smalldb.replay_s *. 1000.);
+          Histogram.record words w;
+          Ns.close ns2
+        done;
+        let med, p25, p75 = quartiles total in
+        let replay_ms = Histogram.percentile replay 50. in
+        let words = Histogram.percentile words 50. in
         let per_entry =
           if loglen = 0 then "-"
           else Printf.sprintf "%.1f us" (replay_ms *. 1000. /. float_of_int loglen)
         in
-        Ns.close ns2;
+        json_add
+          (Printf.sprintf
+             "{\"experiment\": \"e4\", \"log_entries\": %d, \"entries\": %d, \
+              \"reps\": %d, \"checkpoint_bytes\": %d, \"restart_ms_median\": %.3f, \
+              \"restart_ms_p25\": %.3f, \"restart_ms_p75\": %.3f, \
+              \"restore_ms_median\": %.3f, \"replay_ms_median\": %.3f, \
+              \"words_per_restore\": %.0f, \"model_1987_s\": %.1f, %s}"
+             loglen entries ckpt_reps blob med p25 p75
+             (Histogram.percentile restore 50.)
+             replay_ms words !model (host_json ~quick));
         [
           string_of_int loglen;
-          fmt_ms elapsed_ms;
-          fmt_ms restore_ms;
+          fmt_ms med;
+          Printf.sprintf "%s-%s" (fmt_ms p25) (fmt_ms p75);
+          fmt_ms (Histogram.percentile restore 50.);
           fmt_ms replay_ms;
           per_entry;
-          Printf.sprintf "%.1f s" (model.Cost.total_model_ms /. 1000.);
+          Printf.sprintf "%.0f" words;
+          Printf.sprintf "%.1f s" !model;
         ])
       log_lengths
   in
   Tablefmt.print
     ~header:
-      [ "log entries"; "restart"; "read ckpt"; "replay"; "replay/entry"; "model 1987" ]
+      [
+        "log entries"; "restart"; "quartiles"; "read ckpt"; "replay"; "replay/entry";
+        "words"; "model 1987";
+      ]
     rows;
+  note "median of %d restarts per row from the same files; words allocated per restart"
+    ckpt_reps;
   paper "restart takes about 20 s to read the checkpoint plus about 20 ms per log entry"
 
 (* ------------------------------------------------------------------ *)
@@ -880,32 +1004,6 @@ let e13 ~quick () =
 
 (* ------------------------------------------------------------------ *)
 (* E14: the S7 extension -- partitioned checkpoints, one log each      *)
-
-(* Machine-readable results, written by [--json FILE] so CI can keep a
-   throughput baseline artifact.  Each entry is a rendered JSON object. *)
-let json_rows : string list ref = ref []
-let json_add row = json_rows := row :: !json_rows
-
-let write_json file =
-  write_json_rows file (List.rev !json_rows);
-  Printf.printf "\njson results written to %s\n" file
-
-(* The host a row was measured on: core count, OCaml version, source
-   revision and run mode travel with every row. *)
-let git_rev () =
-  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
-  | exception Unix.Unix_error _ -> "unknown"
-  | ic ->
-    let rev = try String.trim (input_line ic) with End_of_file -> "" in
-    (match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when rev <> "" -> rev
-    | _ -> "unknown")
-
-let host_json ~quick =
-  Printf.sprintf "\"cores\": %d, \"ocaml\": %S, \"git_rev\": %S, \"mode\": %S"
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version (git_rev ())
-    (if quick then "quick" else "full")
 
 let e14 ~quick () =
   section "e14"

@@ -152,11 +152,11 @@ let health = Db.health
    liveness. *)
 let ping t = (stats t).Smalldb.lsn
 
-(* The canonical digest of the live state: the wire tree pickles with
-   sorted children, so equal trees give equal strings — which the raw
-   node pickle (hash tables, insertion-ordered) does not. *)
-let state_digest root =
-  Digest.string (P.encode Ns_data.codec_tree (Ns_data.psnapshot root))
+(* The canonical digest of the live state: the state's pickle writes
+   children sorted, so equal trees give equal strings — which the raw
+   node pickle (hash tables, insertion-ordered) does not.  The bytes
+   are the wire tree's, so digests match across versions. *)
+let state_digest root = Digest.string (P.encode Ns_data.codec_pnode root)
 
 let digest t = Db.query t state_digest
 let scrub ?repair t = Db.scrub ?repair ~digest:state_digest t

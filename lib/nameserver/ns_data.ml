@@ -237,11 +237,32 @@ let rec psnapshot ?depth n =
   in
   Tree { tvalue = n.pvalue; tchildren = children }
 
-(* The pickle goes through the sorted exchange tree, so equal stores
-   give equal checkpoint bytes — canonical by construction, where the
-   raw hashtbl pickle of [codec_node] is insertion-ordered. *)
+(* The wire format is [codec_tree]'s, written and read straight from
+   and into the maps with no exchange tree in between.  Children go out
+   in [Smap] key order, so equal stores give equal checkpoint bytes —
+   canonical by construction, where the raw hashtbl pickle of
+   [codec_node] is insertion-ordered.  On read, children are added one
+   by one, so unsorted or repeated labels load as [pof_tree] loads them
+   (the last binding of a label wins). *)
 let codec_pnode =
-  P.conv ~name:"ns.pnode" (fun n -> psnapshot n) pof_tree codec_tree
+  let children self =
+    P.sequence ~length:Smap.cardinal
+      ~iter:(fun f m -> Smap.iter (fun label child -> f (label, child)) m)
+      ~build:(fun len next ->
+        let m = ref Smap.empty in
+        for _ = 1 to len do
+          let label, child = next () in
+          m := Smap.add label child !m
+        done;
+        !m)
+      (P.pair P.string self)
+  in
+  P.conv ~name:"ns.pnode" Fun.id Fun.id
+    (P.mu "ns.tree" (fun self ->
+         P.record2 "ns.tree"
+           (P.field "value" (P.option P.string) (fun n -> n.pvalue))
+           (P.field "children" (children self) (fun n -> n.pchildren))
+           (fun pvalue pchildren -> { pvalue; pchildren })))
 
 let pchildren_labels n = Smap.fold (fun l _ acc -> l :: acc) n.pchildren [] |> List.rev
 

@@ -80,9 +80,12 @@ type pnode = { pvalue : string option; pchildren : pnode Smap.t }
 
 val empty_pnode : pnode
 val codec_pnode : pnode Sdb_pickle.Pickle.t
-(** Pickles through the sorted exchange {!tree}, so equal stores give
-    equal bytes (canonical, unlike the insertion-ordered
-    {!codec_node}). *)
+(** The wire format of {!codec_tree} (wrapped as ["ns.pnode"]), written
+    straight from the maps in label order and read straight into them:
+    equal stores give equal bytes (canonical, unlike the
+    insertion-ordered {!codec_node}), byte for byte what pickling
+    [psnapshot n] with {!codec_tree} gives.  Unsorted or repeated
+    labels on the wire load as {!pof_tree} loads them. *)
 
 val pfind : pnode -> Name_path.t -> pnode option
 val pmem : pnode -> Name_path.t -> bool

@@ -4,7 +4,22 @@ type labels = (string * string) list
 
 type counter = { c_value : int Atomic.t }
 type gauge = { g_mutex : Mutex.t; mutable g_value : float }
-type histogram = { h_mutex : Mutex.t; h_samples : H.t }
+(* A summary keeps count, sum, min and max over every observation and
+   its quantiles over the most recent [window] ones: a ring that grows
+   on demand up to [window], so a long-lived server's series stay
+   bounded, and a rarely observed one stays small. *)
+let window = 4096
+
+(* All floats, so stored unboxed: an observation allocates nothing. *)
+type totals = { mutable sum : float; mutable lo : float; mutable hi : float }
+
+type histogram = {
+  h_mutex : Mutex.t;
+  mutable recent : float array;  (* ring; full once it holds [window] *)
+  mutable next : int;  (* slot the next observation takes *)
+  mutable count : int;
+  totals : totals;
+}
 
 type data =
   | Counter of counter
@@ -84,7 +99,14 @@ let gauge ?(help = "") ?(labels = []) name =
 let histogram ?(help = "") ?(labels = []) name =
   match
     intern name ~help ~labels ~kind:"summary" (fun () ->
-        Histogram { h_mutex = Mutex.create (); h_samples = H.create () })
+        Histogram
+          {
+            h_mutex = Mutex.create ();
+            recent = [||];
+            next = 0;
+            count = 0;
+            totals = { sum = 0.0; lo = 0.0; hi = 0.0 };
+          })
   with
   | Histogram h -> h
   | _ -> assert false
@@ -105,10 +127,32 @@ let set_gauge g v =
     Mutex.unlock g.g_mutex
   end
 
+let record h v =
+  let cap = Array.length h.recent in
+  if h.next = cap && cap < window then begin
+    let bigger = Array.make (min window (max 64 (2 * cap))) 0.0 in
+    Array.blit h.recent 0 bigger 0 cap;
+    h.recent <- bigger
+  end;
+  if h.next = Array.length h.recent then h.next <- 0;
+  h.recent.(h.next) <- v;
+  h.next <- h.next + 1;
+  let t = h.totals in
+  if h.count = 0 then begin
+    t.lo <- v;
+    t.hi <- v
+  end
+  else begin
+    if Float.compare v t.lo < 0 then t.lo <- v;
+    if Float.compare v t.hi > 0 then t.hi <- v
+  end;
+  h.count <- h.count + 1;
+  t.sum <- t.sum +. v
+
 let observe h v =
   if Atomic.get enabled then begin
     Mutex.lock h.h_mutex;
-    H.record h.h_samples v;
+    record h v;
     Mutex.unlock h.h_mutex
   end
 
@@ -134,11 +178,35 @@ let gauge_value g =
   Mutex.unlock g.g_mutex;
   v
 
+(* The retained observations, appended to [dst]; must hold [h.h_mutex]. *)
+let add_recent dst h =
+  for i = 0 to min h.count (Array.length h.recent) - 1 do
+    H.record dst h.recent.(i)
+  done
+
+(* Quantiles from the retained samples, the rest from the cumulative
+   fields.  Until the window first fills, that is exactly the snapshot
+   of a histogram holding every observation. *)
+let summarize ~count ~sum ~lo ~hi recent =
+  if count = 0 then H.empty_snapshot
+  else
+    let s = H.snapshot recent in
+    {
+      s with
+      H.s_count = count;
+      s_total = sum;
+      s_mean = sum /. float_of_int count;
+      s_min = lo;
+      s_max = hi;
+    }
+
 let histogram_snapshot h =
   Mutex.lock h.h_mutex;
-  let s = H.snapshot h.h_samples in
+  let recent = H.create () in
+  add_recent recent h;
+  let count = h.count and { sum; lo; hi } = h.totals in
   Mutex.unlock h.h_mutex;
-  s
+  summarize ~count ~sum ~lo ~hi recent
 
 (* Registry-wide summary reads.  Lock order matches render: the
    registry mutex first, then each series' h_mutex inside. *)
@@ -162,16 +230,25 @@ let merged_summary name =
       | None -> H.empty_snapshot
       | Some f ->
         let merged = H.create () in
+        let count = ref 0 and sum = ref 0.0 in
+        let lo = ref Float.infinity and hi = ref Float.neg_infinity in
         List.iter
           (fun s ->
             match s.data with
             | Histogram h ->
               Mutex.lock h.h_mutex;
-              H.merge_into merged h.h_samples;
+              add_recent merged h;
+              if h.count > 0 then begin
+                let t = h.totals in
+                count := !count + h.count;
+                sum := !sum +. t.sum;
+                if Float.compare t.lo !lo < 0 then lo := t.lo;
+                if Float.compare t.hi !hi > 0 then hi := t.hi
+              end;
               Mutex.unlock h.h_mutex
             | Counter _ | Gauge _ -> ())
           f.f_series;
-        H.snapshot merged)
+        summarize ~count:!count ~sum:!sum ~lo:!lo ~hi:!hi merged)
 
 (* ------------------------------------------------------------------ *)
 (* Exposition                                                          *)
@@ -272,7 +349,11 @@ let reset () =
                 Mutex.unlock g.g_mutex
               | Histogram h ->
                 Mutex.lock h.h_mutex;
-                H.clear h.h_samples;
+                h.next <- 0;
+                h.count <- 0;
+                h.totals.sum <- 0.0;
+                h.totals.lo <- 0.0;
+                h.totals.hi <- 0.0;
                 Mutex.unlock h.h_mutex)
             f.f_series)
         registry)

@@ -38,6 +38,12 @@ val is_enabled : unit -> bool
 val counter : ?help:string -> ?labels:labels -> string -> counter
 val gauge : ?help:string -> ?labels:labels -> string -> gauge
 val histogram : ?help:string -> ?labels:labels -> string -> histogram
+(** A summary series.  Its count, sum, minimum and maximum cover every
+    observation since creation (or {!reset}); its quantiles cover the
+    most recent 4096 observations, so a series costs bounded memory
+    and a bounded sort however long the process runs.  Until a series
+    has seen more than 4096 observations, its quantiles are exact over
+    all of them. *)
 
 (** {1 Recording} *)
 
@@ -67,10 +73,12 @@ val summaries : unit -> (string * labels * Sdb_util.Histogram.snapshot) list
     sdb_top) without parsing the text exposition. *)
 
 val merged_summary : string -> Sdb_util.Histogram.snapshot
-(** One snapshot over the union of all sample sets of the named
-    summary family (e.g. every [meth] series of
-    ["sdb_rpc_latency_seconds"] combined).  The empty snapshot when the
-    family does not exist or has only counter/gauge series. *)
+(** One snapshot over all series of the named summary family (e.g.
+    every [meth] series of ["sdb_rpc_latency_seconds"] combined): the
+    counts and sums added, the extreme minimum and maximum, and
+    quantiles over the union of the series' recent windows.  The empty
+    snapshot when the family does not exist or has only counter/gauge
+    series. *)
 
 (** {1 Exposition} *)
 
@@ -86,7 +94,8 @@ val render : unit -> string
 (** The whole registry in Prometheus text format, deterministically
     ordered (families alphabetical, series by label value).  Histograms
     render as summaries: [quantile="0.5"|"0.9"|"0.99"|"0.999"] series
-    plus [_sum], [_count], [_min] and [_max]. *)
+    over the recent window, plus the cumulative [_sum], [_count],
+    [_min] and [_max]. *)
 
 val reset : unit -> unit
 (** Zero every registered metric in place: counters and gauges to 0,

@@ -82,6 +82,7 @@ type slot = { slot_fp : string; mutable slot_value : Obj.t; mutable slot_filled 
 
 type reader = {
   src : string;
+  base : int;  (* where the value starts in [src]; errors report offsets from it *)
   mutable pos : int;
   mutable slots : slot array;
   mutable nslots : int;
@@ -97,7 +98,8 @@ let fingerprint_hex c = Descr.fingerprint_hex c.d
 (* Writer / reader helpers                                             *)
 
 let new_writer buf = { buf; share = Hashtbl.create 7; next_id = 0 }
-let new_reader src = { src; pos = 0; slots = [||]; nslots = 0 }
+let new_reader src ~pos = { src; base = pos; pos; slots = [||]; nslots = 0 }
+let offset rd = rd.pos - rd.base
 
 let share_find wr obj =
   let h = Hashtbl.hash obj in
@@ -128,7 +130,7 @@ let reserve_slot rd slot =
 
 let need rd n =
   if n < 0 || rd.pos + n > String.length rd.src then
-    err "pickle: truncated input at offset %d (need %d more bytes)" rd.pos n
+    err "pickle: truncated input at offset %d (need %d more bytes)" (offset rd) n
 
 let read_byte rd =
   need rd 1;
@@ -139,7 +141,7 @@ let read_byte rd =
 let expect_tag rd tag =
   let c = read_byte rd in
   if c <> tag then
-    err "pickle: expected %s at offset %d, found %s" (tag_name tag) (rd.pos - 1)
+    err "pickle: expected %s at offset %d, found %s" (tag_name tag) (offset rd - 1)
       (tag_name c)
 
 let write_uvarint wr n = Varint.write_unsigned wr.buf n
@@ -150,14 +152,14 @@ let read_uvarint rd =
   | v, p ->
     rd.pos <- p;
     v
-  | exception Varint.Malformed m -> err "pickle: %s at offset %d" m rd.pos
+  | exception Varint.Malformed m -> err "pickle: %s at offset %d" m (offset rd)
 
 let read_svarint rd =
   match Varint.read_signed rd.src ~pos:rd.pos with
   | v, p ->
     rd.pos <- p;
     v
-  | exception Varint.Malformed m -> err "pickle: %s at offset %d" m rd.pos
+  | exception Varint.Malformed m -> err "pickle: %s at offset %d" m (offset rd)
 
 (* A sequence length can never exceed the remaining byte count (every
    element costs at least its tag byte), which bounds allocations made
@@ -165,7 +167,7 @@ let read_svarint rd =
 let read_length rd what =
   let len = read_uvarint rd in
   if len > String.length rd.src - rd.pos then
-    err "pickle: %s length %d exceeds remaining input at offset %d" what len rd.pos;
+    err "pickle: %s length %d exceeds remaining input at offset %d" what len (offset rd);
   len
 
 (* ------------------------------------------------------------------ *)
@@ -191,7 +193,8 @@ let bool =
         match read_byte rd with
         | '\x00' -> false
         | '\x01' -> true
-        | c -> err "pickle: invalid bool byte 0x%02X at offset %d" (Char.code c) (rd.pos - 1));
+        | c ->
+          err "pickle: invalid bool byte 0x%02X at offset %d" (Char.code c) (offset rd - 1));
   }
 
 let char =
@@ -360,20 +363,34 @@ let quad a b c d0 =
         (x, y, z, u));
   }
 
-let list elt =
+let sequence ~length ~iter ~build elt =
   {
     d = Descr.List elt.d;
     w =
       (fun wr xs ->
         Buffer.add_char wr.buf tag_list;
-        write_uvarint wr (List.length xs);
-        List.iter (elt.w wr) xs);
+        let len = length xs in
+        write_uvarint wr len;
+        let n = ref 0 in
+        iter
+          (fun x ->
+            incr n;
+            elt.w wr x)
+          xs;
+        (* A miscounted length would shift every later byte. *)
+        if !n <> len then
+          err "pickle: sequence: length %d but %d elements iterated" len !n);
     r =
       (fun rd ->
         expect_tag rd tag_list;
         let len = read_length rd "list" in
-        List.init len (fun _ -> elt.r rd));
+        build len (fun () -> elt.r rd));
   }
+
+let list elt =
+  sequence ~length:List.length ~iter:List.iter
+    ~build:(fun len next -> List.init len (fun _ -> next ()))
+    elt
 
 let array elt =
   {
@@ -417,7 +434,7 @@ let option elt =
         | '\x01' -> Some (elt.r rd)
         | c ->
           err "pickle: invalid option discriminant 0x%02X at offset %d" (Char.code c)
-            (rd.pos - 1));
+            (offset rd - 1));
   }
 
 let result ok error =
@@ -441,7 +458,7 @@ let result ok error =
         | '\x01' -> Error (error.r rd)
         | c ->
           err "pickle: invalid result discriminant 0x%02X at offset %d" (Char.code c)
-            (rd.pos - 1));
+            (offset rd - 1));
   }
 
 let hashtbl key value =
@@ -762,7 +779,7 @@ let mu name f =
 
 let slot_lookup rd id fp what =
   if id >= rd.nslots then
-    err "pickle: %s: back-reference to undefined id %d at offset %d" what id rd.pos;
+    err "pickle: %s: back-reference to undefined id %d at offset %d" what id (offset rd);
   let slot = rd.slots.(id) in
   if not (String.equal slot.slot_fp fp) then
     err "pickle: %s: back-reference id %d has mismatched type" what id;
@@ -801,7 +818,7 @@ let shared inner =
       let id = read_uvarint rd in
       slot_lookup rd id fp "shared"
     | c ->
-      err "pickle: expected shared-def/shared-ref at offset %d, found %s" (rd.pos - 1)
+      err "pickle: expected shared-def/shared-ref at offset %d, found %s" (offset rd - 1)
         (tag_name c)
   in
   { d; w; r }
@@ -850,7 +867,7 @@ let shared_ref ~dummy inner =
       let id = read_uvarint rd in
       slot_lookup rd id fp "shared_ref"
     | c ->
-      err "pickle: expected shared-def/shared-ref at offset %d, found %s" (rd.pos - 1)
+      err "pickle: expected shared-def/shared-ref at offset %d, found %s" (offset rd - 1)
         (tag_name c)
   in
   { d; w; r }
@@ -870,14 +887,18 @@ let encode codec v =
   encode_into buf codec v;
   Buffer.contents buf
 
-let decode codec s =
-  let rd = new_reader s in
+(* Decodes the value that starts at [pos] and must end at the end of
+   [s]; only those bytes count as unpickled. *)
+let decode_from codec s ~pos =
+  let rd = new_reader s ~pos in
   let v = codec.r rd in
   if rd.pos <> String.length s then
     err "pickle: %d trailing bytes after value" (String.length s - rd.pos);
-  Counters.add Counters.unpickled (String.length s);
+  Counters.add Counters.unpickled (String.length s - pos);
   Counters.add Counters.u_ops 1;
   v
+
+let decode codec s = decode_from codec s ~pos:0
 
 let decode_result codec s =
   match decode codec s with
@@ -886,13 +907,14 @@ let decode_result codec s =
 
 let magic = "SDBP1"
 
+(* Header and body go into one buffer, and the body is decoded where it
+   lies: a checkpoint-sized value is neither copied into a second
+   buffer on the way out nor cut out of the file image on the way in. *)
 let to_string codec v =
-  let body = encode codec v in
-  let fp = fingerprint codec in
-  let buf = Buffer.create (String.length body + 24) in
+  let buf = Buffer.create 256 in
   Buffer.add_string buf magic;
-  Buffer.add_string buf fp;
-  Buffer.add_string buf body;
+  Buffer.add_string buf (fingerprint codec);
+  encode_into buf codec v;
   Buffer.contents buf
 
 let of_string codec s =
@@ -908,5 +930,8 @@ let of_string codec s =
       Result.Error
         (Printf.sprintf "pickle: type fingerprint mismatch: data %s, codec %s"
            (Digest.to_hex fp) (Digest.to_hex expected))
-    else decode_result codec (String.sub s (mlen + fplen) (String.length s - mlen - fplen))
+    else
+      match decode_from codec s ~pos:(mlen + fplen) with
+      | v -> Result.Ok v
+      | exception Error m -> Result.Error m
   end

@@ -55,6 +55,21 @@ val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val quad : 'a t -> 'b t -> 'c t -> 'd t -> ('a * 'b * 'c * 'd) t
 val list : 'a t -> 'a list t
+
+val sequence :
+  length:('c -> int) ->
+  iter:(('a -> unit) -> 'c -> unit) ->
+  build:(int -> (unit -> 'a) -> 'c) ->
+  'a t -> 'c t
+(** A container pickled as a list of its elements: the same
+    descriptor ([Descr.List]) and the same bytes as {!list}, written
+    straight from the container and read straight into one, with no
+    intermediate list.  [iter f c] must call [f] on exactly [length c]
+    elements, in the order they go on the wire; {!Error} is raised on
+    write otherwise.  [build n next] must call [next] exactly [n] times,
+    in order, to read the elements.  {!list} is the instance for
+    lists. *)
+
 val array : 'a t -> 'a array t
 val option : 'a t -> 'a option t
 val result : 'a t -> 'e t -> ('a, 'e) result t
@@ -178,10 +193,13 @@ val decode : 'a t -> string -> 'a
 val decode_result : 'a t -> string -> ('a, string) result
 
 val to_string : 'a t -> 'a -> string
-(** Self-contained: magic, fingerprint, then the value. *)
+(** Self-contained: magic, fingerprint, then the value, encoded into
+    one buffer. *)
 
 val of_string : 'a t -> string -> ('a, string) result
-(** Checks magic and fingerprint before decoding. *)
+(** Checks magic and fingerprint before decoding the body in place.
+    {!Counters.bytes_unpickled} counts the body only, as
+    {!Counters.bytes_pickled} does for {!to_string}. *)
 
 (** {1 Accounting}
 

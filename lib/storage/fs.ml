@@ -161,23 +161,37 @@ let sub fs prefix =
     counters = fs.counters;
   }
 
+(* One buffer of the size the reader reported, filled in the 64 KiB
+   requests the disk counters (and the cost model built on them) have
+   always seen.  A full buffer is confirmed by one more read, as any
+   read-to-EOF loop ends, so a file that grew after it was opened is
+   still read to its end. *)
 let read_file fs file =
   let r = fs.open_reader file in
-  let buf = Buffer.create (max 64 r.r_size) in
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    let n = r.r_read chunk 0 (Bytes.length chunk) in
-    if n > 0 then begin
-      Buffer.add_subbytes buf chunk 0 n;
-      go ()
+  let chunk = 65536 in
+  let rec fill buf len =
+    if len < Bytes.length buf then begin
+      let n = r.r_read buf len (min chunk (Bytes.length buf - len)) in
+      if n = 0 then Bytes.sub_string buf 0 len else fill buf (len + n)
+    end
+    else begin
+      let spare = Bytes.create chunk in
+      let n = r.r_read spare 0 chunk in
+      if n = 0 then Bytes.unsafe_to_string buf
+      else begin
+        let bigger = Bytes.extend buf 0 (max len chunk) in
+        Bytes.blit spare 0 bigger len n;
+        fill bigger (len + n)
+      end
     end
   in
-  (try go ()
-   with e ->
-     r.r_close ();
-     raise e);
-  r.r_close ();
-  Buffer.contents buf
+  match fill (Bytes.create r.r_size) 0 with
+  | contents ->
+    r.r_close ();
+    contents
+  | exception e ->
+    r.r_close ();
+    raise e
 
 let write_file fs file contents =
   let w = fs.create file in

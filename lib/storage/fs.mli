@@ -138,7 +138,11 @@ val sub : t -> string -> t
     its failure behaviour (crashes, faults, capacity). *)
 
 val read_file : t -> string -> string
-(** Whole-file read.  Raises {!Read_error} or {!Io_error}. *)
+(** Whole-file read, up to end of file (even past the size the reader
+    reported when opened).  The bytes land in one buffer of the
+    reported size, read in 64 KiB requests, so a checkpoint-sized file
+    is not copied again on its way to the caller.  Raises
+    {!Read_error} or {!Io_error}; the reader is closed either way. *)
 
 val write_file : t -> string -> string -> unit
 (** Create, write, sync, close. *)

@@ -101,6 +101,103 @@ let test_materialize_roundtrip () =
   Alcotest.check Alcotest.bool "equal_node" true (Data.equal_node node (Data.materialize tree))
 
 (* ------------------------------------------------------------------ *)
+(* The checkpoint codec                                                 *)
+
+module P = Sdb_pickle.Pickle
+module Rng = Sdb_util.Rng
+
+(* Short labels over a small alphabet: collisions, prefixes and the
+   empty label put String.compare order far from insertion order. *)
+let random_label rng = String.init (Rng.int rng 4) (fun _ -> "abAB0~\xff".[Rng.int rng 7])
+
+let random_value rng =
+  match Rng.int rng 4 with
+  | 0 -> None
+  | 1 -> Some ""
+  | _ -> Some (Rng.string rng ~len:(Rng.int rng 12))
+
+let random_path rng ~depth = List.init depth (fun _ -> random_label rng)
+
+(* Empty, deep, wide and mixed trees, built with the engine's own
+   persistent operations. *)
+let random_pnode rng i =
+  let set n path = Data.pset_value n path (random_value rng) in
+  match i mod 4 with
+  | 0 -> if Rng.bool rng then Data.empty_pnode else set Data.empty_pnode []
+  | 1 -> set Data.empty_pnode (random_path rng ~depth:(1 + Rng.int rng 60))
+  | 2 ->
+    let rec go n k = if k = 0 then n else go (set n [ random_label rng ]) (k - 1) in
+    go Data.empty_pnode (Rng.int rng 300)
+  | _ ->
+    let rec go n k =
+      if k = 0 then n
+      else
+        let path = random_path rng ~depth:(Rng.int rng 5) in
+        let n =
+          if Rng.int rng 8 = 0 then Data.pdelete_subtree n path else set n path
+        in
+        go n (k - 1)
+    in
+    go Data.empty_pnode (1 + Rng.int rng 40)
+
+let test_codec_pnode_bytes () =
+  let rng = Rng.create ~seed:2024 in
+  for i = 0 to 499 do
+    let n = random_pnode rng i in
+    let direct = P.encode Data.codec_pnode n in
+    check Alcotest.string
+      (Printf.sprintf "tree %d: same bytes as the exchange tree" i)
+      (P.encode Data.codec_tree (Data.psnapshot n))
+      direct;
+    check tree_testable
+      (Printf.sprintf "tree %d: roundtrip" i)
+      (Data.psnapshot n)
+      (Data.psnapshot (P.decode Data.codec_pnode direct))
+  done
+
+let test_codec_pnode_fingerprint () =
+  check Alcotest.string "fingerprint" "1577b2f3cf78b74b59161f0cd7da02d8"
+    (P.fingerprint_hex Data.codec_pnode)
+
+let test_codec_pnode_canonical () =
+  let rng = Rng.create ~seed:77 in
+  let paths =
+    List.init 200 (fun _ -> random_path rng ~depth:(1 + Rng.int rng 4))
+    |> List.sort_uniq compare
+  in
+  let bindings = List.map (fun path -> (path, random_value rng)) paths in
+  let build bs =
+    List.fold_left (fun n (path, v) -> Data.pset_value n path v) Data.empty_pnode bs
+  in
+  let shuffled = Array.of_list bindings in
+  Rng.shuffle rng shuffled;
+  check Alcotest.string "two insertion orders, one pickle"
+    (P.encode Data.codec_pnode (build bindings))
+    (P.encode Data.codec_pnode (build (Array.to_list shuffled)))
+
+(* Bytes no writer of [codec_pnode] produces: children out of order and
+   a repeated label.  They decode to what decoding the exchange tree
+   and converting it gives. *)
+let test_codec_pnode_unsorted_input () =
+  let raw value children = Data.Tree { tvalue = value; tchildren = children } in
+  let blob =
+    P.encode Data.codec_tree
+      (raw (Some "root")
+         [
+           ("b", raw None [ ("z", Data.leaf (Some "1")); ("y", Data.leaf None) ]);
+           ("a", Data.leaf (Some ""));
+           ("b", raw (Some "second") [ ("x", Data.leaf (Some "2")) ]);
+           ("", Data.leaf (Some "empty label"));
+         ])
+  in
+  let expected = Data.pof_tree (P.decode Data.codec_tree blob) in
+  let got = P.decode Data.codec_pnode blob in
+  check tree_testable "same pnode" (Data.psnapshot expected) (Data.psnapshot got);
+  check Alcotest.string "re-encodes sorted"
+    (P.encode Data.codec_tree (Data.psnapshot expected))
+    (P.encode Data.codec_pnode got)
+
+(* ------------------------------------------------------------------ *)
 (* The served database                                                  *)
 
 let test_ns_basic () =
@@ -498,6 +595,17 @@ let () =
           Alcotest.test_case "tree ops" `Quick test_data_ops;
           Alcotest.test_case "snapshot depth" `Quick test_snapshot_depth;
           Alcotest.test_case "materialize roundtrip" `Quick test_materialize_roundtrip;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "pnode bytes equal exchange-tree bytes" `Quick
+            test_codec_pnode_bytes;
+          Alcotest.test_case "pnode fingerprint pinned" `Quick
+            test_codec_pnode_fingerprint;
+          Alcotest.test_case "insertion order invisible" `Quick
+            test_codec_pnode_canonical;
+          Alcotest.test_case "unsorted and repeated children" `Quick
+            test_codec_pnode_unsorted_input;
         ] );
       ( "server",
         [

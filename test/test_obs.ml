@@ -282,6 +282,65 @@ let test_render_p999 () =
     (contains ~needle:"test_obs_p999_seconds{quantile=\"0.999\"}"
        (Metrics.render ()))
 
+(* A million observations leave a series the size of its window, and
+   count/sum/min/max still cover all of them. *)
+let test_summary_bounded () =
+  let h = Metrics.histogram "test_obs_bounded_seconds" in
+  let n = 1_000_000 in
+  for i = 0 to n - 1 do
+    Metrics.observe h (float_of_int i)
+  done;
+  let words = Obj.reachable_words (Obj.repr h) in
+  check Alcotest.bool (Printf.sprintf "%d words reachable, bound 5000" words) true
+    (words < 5000);
+  let s = Metrics.histogram_snapshot h in
+  let module H = Sdb_util.Histogram in
+  check Alcotest.int "cumulative count" n s.H.s_count;
+  check (Alcotest.float 0.) "cumulative sum" (float_of_int (n * (n - 1) / 2)) s.H.s_total;
+  check (Alcotest.float 0.) "cumulative min" 0. s.H.s_min;
+  check (Alcotest.float 0.) "cumulative max" (float_of_int (n - 1)) s.H.s_max;
+  (* Quantiles over the most recent 4096: their median is the window's. *)
+  check (Alcotest.float 0.) "recent median" (float_of_int n -. 2048.5) s.H.s_p50;
+  let m = Metrics.merged_summary "test_obs_bounded_seconds" in
+  check Alcotest.int "merged count" n m.H.s_count
+
+(* Below the window, a series renders exactly as a histogram holding
+   every sample does. *)
+let test_summary_small_unchanged () =
+  let module H = Sdb_util.Histogram in
+  let fmt = Printf.sprintf "%.12g" in
+  List.iter
+    (fun n ->
+      let name = Printf.sprintf "test_obs_small_%d_seconds" n in
+      let h = Metrics.histogram name in
+      let reference = H.create () in
+      let rng = Sdb_util.Rng.create ~seed:n in
+      for _ = 1 to n do
+        let v = Sdb_util.Rng.float rng 1.0 ** 3. *. 10. in
+        Metrics.observe h v;
+        H.record reference v
+      done;
+      let s = H.snapshot reference in
+      let expected =
+        List.map
+          (fun (q, v) -> Printf.sprintf "%s{quantile=\"%s\"} %s" name q (fmt v))
+          [ ("0.5", s.H.s_p50); ("0.9", s.H.s_p90); ("0.99", s.H.s_p99);
+            ("0.999", s.H.s_p999) ]
+        @ [
+            Printf.sprintf "%s_sum %s" name (fmt s.H.s_total);
+            Printf.sprintf "%s_count %d" name s.H.s_count;
+            Printf.sprintf "%s_min %s" name (fmt s.H.s_min);
+            Printf.sprintf "%s_max %s" name (fmt s.H.s_max);
+          ]
+      in
+      let rendered =
+        String.split_on_char '\n' (Metrics.render ())
+        |> List.filter (fun l -> String.starts_with ~prefix:name l)
+      in
+      check (Alcotest.list Alcotest.string) (Printf.sprintf "%d samples" n) expected
+        rendered)
+    [ 1; 7; 1000; 4096 ]
+
 let test_jsonl_sink () =
   let path = Filename.temp_file "sdb-obs" ".jsonl" in
   Fun.protect
@@ -312,6 +371,9 @@ let () =
           Alcotest.test_case "reset keeps handles" `Quick test_reset_keeps_handles;
           Alcotest.test_case "summaries and merge" `Quick test_summaries_and_merge;
           Alcotest.test_case "render p999" `Quick test_render_p999;
+          Alcotest.test_case "summary memory bounded" `Quick test_summary_bounded;
+          Alcotest.test_case "small summary renders unchanged" `Quick
+            test_summary_small_unchanged;
         ] );
       ( "trace",
         [

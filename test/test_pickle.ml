@@ -357,6 +357,88 @@ let test_to_of_string () =
   | Ok _ -> Alcotest.fail "empty accepted"
   | Error _ -> ()
 
+(* of_string decodes the body where it lies; every error it reports on
+   a damaged body is the one decoding that body on its own reports, and
+   only body bytes count as unpickled. *)
+let test_of_string_in_place () =
+  let v = { pname = "jones"; age = 30; emails = [ "j@x"; "j@y" ] } in
+  let s = P.to_string codec_person v in
+  let header = String.sub s 0 21 in
+  let body = String.sub s 21 (String.length s - 21) in
+  check Alcotest.string "body is encode's bytes" (P.encode codec_person v) body;
+  let same_as_body name framed body =
+    check
+      (Alcotest.result Alcotest.reject Alcotest.string)
+      name
+      (Result.map (fun _ -> assert false) (P.decode_result codec_person body))
+      (Result.map (fun _ -> assert false) (P.of_string codec_person framed))
+  in
+  for cut = 0 to String.length body - 1 do
+    same_as_body (Printf.sprintf "body cut at %d" cut)
+      (header ^ String.sub body 0 cut) (String.sub body 0 cut)
+  done;
+  same_as_body "trailing bytes" (s ^ "junk") (body ^ "junk");
+  (match P.of_string codec_person (String.sub s 0 20) with
+  | Error e -> check Alcotest.string "short header" "pickle: input shorter than header" e
+  | Ok _ -> Alcotest.fail "short header accepted");
+  (match P.of_string codec_person ("X" ^ String.sub s 1 (String.length s - 1)) with
+  | Error e -> check Alcotest.string "bad magic" "pickle: bad magic (not a pickle)" e
+  | Ok _ -> Alcotest.fail "bad magic accepted");
+  P.Counters.reset ();
+  (match P.of_string codec_person s with
+  | Ok v' -> check Alcotest.string "decodes" v.pname v'.pname
+  | Error e -> Alcotest.fail e);
+  check Alcotest.int "body bytes unpickled" (String.length body)
+    (P.Counters.bytes_unpickled ());
+  P.Counters.reset ();
+  ignore (P.to_string codec_person v : string);
+  check Alcotest.int "body bytes pickled" (String.length body)
+    (P.Counters.bytes_pickled ())
+
+(* A sequence over a container that is not a list: an array, written
+   from Array.iter and read with Array.init. *)
+let int_array_seq =
+  P.sequence ~length:Array.length ~iter:Array.iter
+    ~build:(fun len next -> Array.init len (fun _ -> next ()))
+    P.int
+
+let test_sequence_is_list () =
+  List.iter
+    (fun xs ->
+      let arr = Array.of_list xs in
+      check Alcotest.string "list's bytes" (P.encode (P.list P.int) xs)
+        (P.encode int_array_seq arr);
+      check (Alcotest.array Alcotest.int) "roundtrip" arr
+        (P.decode int_array_seq (P.encode int_array_seq arr)))
+    [ []; [ 0 ]; [ 1; -2; 300; max_int; min_int ]; List.init 1000 Fun.id ];
+  check Alcotest.string "list's fingerprint"
+    (P.fingerprint_hex (P.list P.int))
+    (P.fingerprint_hex int_array_seq);
+  let error codec s =
+    match P.decode codec s with
+    | _ -> Alcotest.fail "expected Error"
+    | exception P.Error m -> m
+  in
+  let enc = P.encode (P.list P.int) [ 1; 2; 3; 400 ] in
+  for cut = 0 to String.length enc - 1 do
+    let cut_enc = String.sub enc 0 cut in
+    check Alcotest.string (Printf.sprintf "truncation at %d" cut)
+      (error (P.list P.int) cut_enc) (error int_array_seq cut_enc)
+  done;
+  (* A length past the remaining input is refused before anything is
+     allocated for it. *)
+  let huge = "\x0D\xFF\xFF\xFF\x07" ^ P.encode P.int 1 in
+  check Alcotest.string "length bound" (error (P.list P.int) huge)
+    (error int_array_seq huge);
+  let liar =
+    P.sequence ~length:(fun xs -> List.length xs + 1) ~iter:List.iter
+      ~build:(fun len next -> List.init len (fun _ -> next ()))
+      P.int
+  in
+  match P.encode liar [ 1; 2 ] with
+  | _ -> Alcotest.fail "miscounted sequence written"
+  | exception P.Error _ -> ()
+
 let test_descr_rendering () =
   let d = P.descr (P.pair P.int (P.list P.string)) in
   check Alcotest.string "descr" "pair(int,list(string))" (Descr.to_string d);
@@ -538,6 +620,8 @@ let () =
           Alcotest.test_case "enum" `Quick test_enum;
           Alcotest.test_case "conv" `Quick test_conv;
         ] );
+      ( "sequence",
+        [ Alcotest.test_case "same wire and errors as list" `Quick test_sequence_is_list ] );
       ( "recursion-sharing",
         [
           Alcotest.test_case "mu tree" `Quick test_mu_tree;
@@ -558,6 +642,8 @@ let () =
           Alcotest.test_case "distinguish types" `Quick test_fingerprints_distinguish;
           Alcotest.test_case "stable and name-sensitive" `Quick test_fingerprints_stable;
           Alcotest.test_case "to/of_string headers" `Quick test_to_of_string;
+          Alcotest.test_case "of_string decodes in place" `Quick
+            test_of_string_in_place;
           Alcotest.test_case "descr rendering" `Quick test_descr_rendering;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "encode_into appends in place" `Quick

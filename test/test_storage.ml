@@ -411,6 +411,91 @@ let test_fault_capacity () =
   w.Fs.w_write "ok";
   w.Fs.w_close ()
 
+(* ------------------------------------------------------------------ *)
+(* Whole-file reads                                                    *)
+
+(* Counts readers opened and not yet closed, and lets a test misreport
+   the size a reader announces (a file that grew or shrank after it
+   was opened). *)
+let watched ?(skew = 0) fs =
+  let open_readers = ref 0 in
+  let open_reader name =
+    let r = fs.Fs.open_reader name in
+    incr open_readers;
+    {
+      r with
+      Fs.r_size = max 0 (r.Fs.r_size + skew);
+      r_close =
+        (fun () ->
+          decr open_readers;
+          r.Fs.r_close ());
+    }
+  in
+  ({ fs with Fs.open_reader }, open_readers)
+
+let read_file_sizes = [ 0; 1; 65535; 65536; 65537; (1 lsl 20) + 1 ]
+
+let test_read_file_backends () =
+  let contents n = String.init n (fun i -> Char.chr (((i * 7) + (i lsr 16)) land 255)) in
+  let backends =
+    [
+      ("real", fun () -> Real.create ~root:(Helpers.fresh_dir "realfs-read"));
+      ("mem", fun () -> snd (mem ()));
+      ("fault", fun () -> snd (Fault.wrap (snd (mem ()))));
+      ("sub", fun () -> Fs.sub (snd (mem ())) "part0-");
+    ]
+  in
+  List.iter
+    (fun (backend, make) ->
+      let fs = make () in
+      List.iter
+        (fun n ->
+          let data = contents n in
+          write fs "f" data;
+          List.iter
+            (fun skew ->
+              let name = Printf.sprintf "%s, %d bytes, size skew %d" backend n skew in
+              let wfs, open_readers = watched ~skew fs in
+              let before = Fs.Counters.copy fs.Fs.counters in
+              check Alcotest.string name data (Fs.read_file wfs "f");
+              check Alcotest.int (name ^ ": reader closed") 0 !open_readers;
+              (* The 64 KiB requests of a read-to-EOF loop: a backend
+                 that counts the final empty read (real) sees one more. *)
+              if skew = 0 then begin
+                let d = Fs.Counters.diff ~after:fs.Fs.counters ~before in
+                let full_reads = (n + 65535) / 65536 in
+                check Alcotest.int (name ^ ": reads")
+                  (if backend = "real" then full_reads + 1 else full_reads)
+                  d.Fs.Counters.data_reads;
+                check Alcotest.int (name ^ ": bytes read") n d.Fs.Counters.bytes_read
+              end)
+            [ 0; -1; 1 ])
+        read_file_sizes)
+    backends
+
+let test_read_file_errors () =
+  let data = String.make ((1 lsl 20) + 1) 'x' in
+  (* A torn page in the middle of the file. *)
+  let store, fs = mem () in
+  write fs "f" data;
+  Mem.damage store ~file:"f" ~offset:200_000 ~len:10;
+  let wfs, open_readers = watched fs in
+  (match Fs.read_file wfs "f" with
+  | _ -> Alcotest.fail "torn page read"
+  | exception Fs.Read_error { offset; _ } ->
+    check Alcotest.int "error at the damage" 200_000 offset);
+  check Alcotest.int "reader closed after torn page" 0 !open_readers;
+  (* An injected read fault on the third 64 KiB request. *)
+  let _store, ctl, fs = fault_mem () in
+  write fs "f" data;
+  Fault.fail_nth ctl ~op:`Read ~n:3 ();
+  let wfs, open_readers = watched fs in
+  (match Fs.read_file wfs "f" with
+  | _ -> Alcotest.fail "faulted read succeeded"
+  | exception Fs.Read_error { file; _ } -> check Alcotest.string "file" "f" file);
+  check Alcotest.int "reader closed after fault" 0 !open_readers;
+  check Alcotest.string "fault was one-shot" data (Fs.read_file fs "f")
+
 let test_counters () =
   let _store, fs = mem () in
   Fs.Counters.reset fs.Fs.counters;
@@ -507,6 +592,12 @@ let () =
             test_fault_rate_deterministic;
           Alcotest.test_case "fault_fs capacity budget" `Quick
             test_fault_capacity;
+        ] );
+      ( "read_file",
+        [
+          Alcotest.test_case "every backend and size" `Quick test_read_file_backends;
+          Alcotest.test_case "damage and faults close the reader" `Quick
+            test_read_file_errors;
         ] );
       ( "accounting",
         [

@@ -40,6 +40,35 @@ let test_crc_bad_range () =
   Alcotest.check_raises "overrun" (Invalid_argument "Crc32.update") (fun () ->
       ignore (Crc32.digest_bytes b ~pos:2 ~len:2))
 
+(* Bit-at-a-time CRC-32 straight from the polynomial, no table. *)
+let crc_reference s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let test_crc_reference () =
+  let rng = Sdb_util.Rng.create ~seed:32 in
+  for i = 1 to 1000 do
+    let s = Sdb_util.Rng.string rng ~len:(Sdb_util.Rng.int rng 300) in
+    let expected = crc_reference s in
+    check Alcotest.int32 (Printf.sprintf "string %d" i) expected (Crc32.digest_string s);
+    (* Resuming from an intermediate digest (often with the top bit
+       set, a negative int32) gives the one-shot result. *)
+    let cut = Sdb_util.Rng.int rng (String.length s + 1) in
+    let split =
+      Crc32.update_string
+        (Crc32.update_string Crc32.empty (String.sub s 0 cut))
+        (String.sub s cut (String.length s - cut))
+    in
+    check Alcotest.int32 (Printf.sprintf "string %d split at %d" i cut) expected split
+  done
+
 let prop_crc_detects_flip =
   Helpers.qtest "crc detects single bit flip"
     QCheck2.Gen.(pair (string_size ~gen:printable (1 -- 64)) (int_bound 511))
@@ -348,6 +377,7 @@ let () =
           Alcotest.test_case "incremental" `Quick test_crc_incremental;
           Alcotest.test_case "byte range" `Quick test_crc_range;
           Alcotest.test_case "bad range" `Quick test_crc_bad_range;
+          Alcotest.test_case "bitwise reference" `Quick test_crc_reference;
           prop_crc_detects_flip;
         ] );
       ( "varint",
