@@ -715,6 +715,7 @@ module CrashApp = struct
   type update = Set of string * string
 
   let name = "bench-crash"
+  let state_kind = `Mutable
   let codec_state = P.hashtbl P.string P.string
 
   let codec_update =
@@ -1122,6 +1123,7 @@ module MapApp = struct
   type update = Set of string * string
 
   let name = "bench-map"
+  let state_kind = `Persistent
 
   let codec_state =
     P.conv ~name:"bench-map.state"
@@ -1139,35 +1141,51 @@ module MapApp = struct
   let apply st (Set (k, v)) = StrMap.add k v st
 end
 
-module MapDb = Smalldb.Make (MapApp)
+(* The same application declared [`Mutable]: its checkpoint pickles
+   under the update lock, the paper's protocol. *)
+module MapMutable = struct
+  include MapApp
 
-let e15 ~quick () =
-  section "e15"
-    "extension: update availability while checkpointing (blocking vs fuzzy)";
-  let keys = if quick then 20_000 else 60_000 in
-  let run concurrent =
-    let store = Mem.create_store ~seed:151 () in
+  let state_kind = `Mutable
+end
+
+let e15_json_file = "BENCH_E15.json"
+
+(* One checkpointed store per state kind, through the one [checkpoint]:
+   a writer thread measures its own per-update latency while the main
+   thread checkpoints. *)
+module E15_run
+    (App : Smalldb.APP
+             with type state = string StrMap.t
+              and type update = MapApp.update) =
+struct
+  module Db = Smalldb.Make (App)
+
+  let checkpoints = 5
+
+  (* One rep: the stalls land in [stalls]; returns the mean checkpoint
+     time and the updates committed while the checkpoints ran. *)
+  let rep ~keys ~seed stalls =
+    let store = Mem.create_store ~seed () in
     let fs = Mem.fs store in
-    let db = MapDb.open_exn fs in
-    for i = 0 to keys - 1 do
-      MapDb.update db (MapApp.Set (kv_key i, String.make 48 'x'))
-    done;
-    (* A writer thread measures its own per-update latency while the
-       main thread checkpoints. *)
-    let stalls = Histogram.create () in
-    let stop = ref false in
+    let db = Db.open_exn fs in
+    Db.update_batch db
+      (List.init keys (fun i -> MapApp.Set (kv_key i, String.make 48 'x')));
+    let stop = Atomic.make false in
     let during = ref 0 in
     (* Throttled to ~1000 updates/s: the interesting regime is a modest
        update rate against a long checkpoint, as in the paper (10/s
-       against a one-minute pickle). *)
+       against a one-minute pickle).  The stall timed is the update
+       call itself: a systhread also waits for the runtime lock between
+       calls, outside the timed window. *)
     let writer =
       Thread.create
         (fun () ->
           let i = ref 0 in
-          while not !stop do
+          while not (Atomic.get stop) do
             let (), ms =
               time_ms (fun () ->
-                  MapDb.update db (MapApp.Set (Printf.sprintf "live%d" !i, "v")))
+                  Db.update db (MapApp.Set (Printf.sprintf "live%d" !i, "v")))
             in
             incr i;
             incr during;
@@ -1180,37 +1198,77 @@ let e15 ~quick () =
     (* Several checkpoints so the writer reliably overlaps them. *)
     let (), ckpt_ms =
       time_ms (fun () ->
-          for _ = 1 to 5 do
-            if concurrent then MapDb.checkpoint_concurrent db
-            else MapDb.checkpoint db
+          for _ = 1 to checkpoints do
+            Db.checkpoint db
           done)
     in
-    let ckpt_ms = ckpt_ms /. 5.0 in
-    stop := true;
+    Atomic.set stop true;
     Thread.join writer;
-    let lsn = (MapDb.stats db).Smalldb.lsn in
-    MapDb.close db;
+    let lsn = (Db.stats db).Smalldb.lsn in
+    Db.close db;
     (* Recovery still sees everything. *)
-    let db2 = MapDb.open_exn fs in
-    assert ((MapDb.stats db2).Smalldb.lsn = lsn);
-    MapDb.close db2;
-    [
-      (if concurrent then "fuzzy (checkpoint_concurrent)" else "blocking (the paper)");
-      fmt_ms ckpt_ms;
-      string_of_int !during;
-      fmt_ms (Histogram.max stalls);
-      fmt_ms (Histogram.percentile stalls 99.);
-    ]
+    let db2 = Db.open_exn fs in
+    assert ((Db.stats db2).Smalldb.lsn = lsn);
+    Db.close db2;
+    (ckpt_ms /. float_of_int checkpoints, !during)
+end
+
+module E15_persistent = E15_run (MapApp)
+module E15_mutable = E15_run (MapMutable)
+
+let e15 ~quick () =
+  section "e15"
+    "extension: update availability while checkpointing (mutable vs persistent state)";
+  let keys = if quick then 20_000 else 60_000 in
+  let reps = 5 in
+  let run label rep =
+    let stalls = Histogram.create () in
+    let ckpt = Histogram.create () in
+    let during = ref 0 in
+    for r = 1 to reps do
+      let ms, n = rep ~keys ~seed:(150 + r) stalls in
+      Histogram.record ckpt ms;
+      during := !during + n
+    done;
+    ( Printf.sprintf
+         "{\"experiment\": \"e15\", \"state_kind\": \"%s\", \"keys\": %d, \
+          \"reps\": %d, \"checkpoints_per_rep\": %d, \
+          \"checkpoint_ms_median\": %.3f, \"updates_during\": %d, \
+          \"stall_p50_ms\": %.4f, \"stall_p99_ms\": %.4f, \
+          \"stall_max_ms\": %.4f, %s}"
+         label keys reps E15_persistent.checkpoints
+         (Histogram.percentile ckpt 50.)
+         !during
+         (Histogram.percentile stalls 50.)
+         (Histogram.percentile stalls 99.)
+         (Histogram.max stalls) (host_json ~quick),
+      [
+        label;
+        fmt_ms (Histogram.percentile ckpt 50.);
+        string_of_int !during;
+        fmt_ms (Histogram.max stalls);
+        fmt_ms (Histogram.percentile stalls 99.);
+      ] )
+  in
+  let json, rows =
+    List.split
+      [ run "mutable" E15_mutable.rep; run "persistent" E15_persistent.rep ]
   in
   Tablefmt.print
     ~header:
-      [ "checkpoint"; "duration"; "updates during run"; "max update stall"; "p99 stall" ]
-    [ run false; run true ];
+      [ "state kind"; "checkpoint"; "updates during run"; "max update stall"; "p99 stall" ]
+    rows;
+  List.iter json_add json;
+  write_json_rows e15_json_file json;
   note
-    "the fuzzy checkpoint pickles with no lock held; updates stall only for the      brief log hand-over (and on 1987 hardware: the full pickle minute vs a blink)";
+    "%d reps x %d checkpoints per kind, one [checkpoint] function: a \
+     mutable state is pickled under the update lock, a persistent one \
+     with no lock held; updates stall only for the log hand-over"
+    reps E15_persistent.checkpoints;
+  Printf.printf "  artifact: %s\n" e15_json_file;
   paper
     "S7 limitation: the time required for making a checkpoint, when updates are \
-     excluded -- this ablation removes that exclusion for immutable-state apps"
+     excluded -- a persistent state removes that exclusion"
 
 (* ------------------------------------------------------------------ *)
 (* E16: commit groups under concurrent updaters                       *)
@@ -1303,6 +1361,77 @@ let e16 ~quick () =
   note
     "concurrent updaters amortize the 1 ms commit fsync: fsyncs/update is \
      exactly 1 for one updater and falls toward 1/N with N";
+  (* Checked updates in the mix: each opens a group of its own and
+     verifies at its seal, so it costs plain updaters a group and waits
+     out at most two.  Same fsync, same total; the precondition is a
+     create-if-absent check. *)
+  let run_mixed ~plain ~checked =
+    let store = Mem.create_store ~seed:(1650 + plain) () in
+    let ctl, ffs = Fault.wrap (Mem.fs store) in
+    Fault.set_latency ctl ~op:`Sync 0.001;
+    let db = CrashDb.open_exn ffs in
+    let lat = Histogram.create () and m = Mutex.create () in
+    let per_thread = total / (plain + checked) in
+    let precondition k st = if Hashtbl.mem st k then Error () else Ok () in
+    let (), ms =
+      time_ms (fun () ->
+          List.init (plain + checked) (fun tid ->
+              Thread.create
+                (fun () ->
+                  for i = 0 to per_thread - 1 do
+                    let k = Printf.sprintf "t%d-%05d" tid i in
+                    if tid < plain then CrashDb.update db (CrashApp.Set (k, value))
+                    else begin
+                      let t0 = Unix.gettimeofday () in
+                      ignore
+                        (CrashDb.update_checked db ~precondition:(precondition k)
+                           (CrashApp.Set (k, value))
+                          : (unit, unit) result);
+                      Mutex.lock m;
+                      Histogram.record lat ((Unix.gettimeofday () -. t0) *. 1000.);
+                      Mutex.unlock m
+                    end
+                  done)
+                ())
+          |> List.iter Thread.join)
+    in
+    CrashDb.close db;
+    (float_of_int ((plain + checked) * per_thread) /. (ms /. 1000.), lat)
+  in
+  let mixes =
+    List.map
+      (fun mix -> (mix, (Histogram.create (), Histogram.create ())))
+      [ (4, 1); (2, 2); (0, 4) ]
+  in
+  for _ = 1 to reps do
+    List.iter
+      (fun ((plain, checked), (rates, lats)) ->
+        let rate, lat = run_mixed ~plain ~checked in
+        Histogram.record rates rate;
+        Histogram.merge_into lats lat)
+      mixes
+  done;
+  Tablefmt.print
+    ~header:[ "plain+checked"; "updates (median)"; "quartiles"; "checked p50"; "checked p99" ]
+    (List.map
+       (fun ((plain, checked), (rates, lats)) ->
+         json_add
+           (Printf.sprintf
+              "{\"experiment\": \"e16-checked\", \"plain\": %d, \"checked\": %d, \
+               \"reps\": %d, \"updates_per_s\": %.1f, \"updates_per_s_p25\": %.1f, \
+               \"updates_per_s_p75\": %.1f, \"checked_p50_ms\": %.3f, \
+               \"checked_p99_ms\": %.3f, %s}"
+              plain checked reps (q rates 50.) (q rates 25.) (q rates 75.)
+              (q lats 50.) (q lats 99.) host);
+         [
+           Printf.sprintf "%d+%d" plain checked;
+           Printf.sprintf "%.0f /s" (q rates 50.);
+           Printf.sprintf "%.0f-%.0f" (q rates 25.) (q rates 75.);
+           Printf.sprintf "%.2f ms" (q lats 50.);
+           Printf.sprintf "%.2f ms" (q lats 99.);
+         ])
+       mixes);
+  note "checked latency is the whole update_checked call, pooled over the reps";
   paper
     "the only faster schemes record multiple commit records in a single log \
      entry -- this is that scheme, applied across concurrent client threads"
@@ -1393,6 +1522,27 @@ module Slo = Sdb_obs.Slo
 (* E18 always writes its own artifact (CI uploads it), independent of
    the harness-wide [--json] flag. *)
 let e18_json_file = "BENCH_E18.json"
+
+(* The name server's application declared [`Mutable]: the same tree,
+   read under the Shared lock and checkpointed under the update lock —
+   the paper's route, kept beside the epoch route as its baseline. *)
+module Locked_ns = Smalldb.Make (struct
+  include Ns.App
+
+  let state_kind = `Mutable
+end)
+
+(* The two procedures the load generator calls, served by the locked
+   twin with the name server's wire codecs. *)
+let locked_ns_handlers db =
+  let open Proto in
+  [
+    Rpc.Server.handler ~meth:"lookup" codec_path codec_value (fun path ->
+        Locked_ns.query db (fun root ->
+            match Data.pfind root path with Some n -> n.Data.pvalue | None -> None));
+    Rpc.Server.handler ~meth:"set_value" (P.pair codec_path codec_value) P.unit
+      (fun (p, v) -> Locked_ns.update db (Ns.Set_value (p, v)));
+  ]
 
 let e18 ~quick () =
   section "e18"
@@ -1552,29 +1702,31 @@ let e18 ~quick () =
       rep.Slo.r_name (Slo.objective_ms slo) rep.Slo.r_budget
       rep.Slo.r_bad_fraction rep.Slo.r_burn rep.Slo.r_pass
     :: !json;
-  (* Scenario 5: the lock-free read path under the mix it exists for.
-     A second server configured with [read_path = `Epoch] serves the
-     read-mostly (99/1) preset over its own socket, with the same p99
+  (* Scenario 5: the Shared-lock read route under the read-mostly mix
+     the epoch route exists for.  The locked twin of the name server
+     serves the 99/1 preset over its own socket, with the same p99
      objective tracked under its own SLO name — CI asserts both gates,
-     so a regression in the epoch route's client-visible tail fails
-     the build exactly like the locked one. *)
+     so a regression in either route's client-visible tail fails the
+     build. *)
   let estore = Mem.create_store ~seed:1803 () in
-  let econfig = { Smalldb.default_config with read_path = `Epoch } in
-  let ens = Ns.open_exn ~config:econfig (Mem.fs estore) in
+  let ens = Locked_ns.open_exn (Mem.fs estore) in
   let erng = Rng.create ~seed:1804 in
   let ebatch = ref [] in
   for i = 0 to entries - 1 do
     ebatch :=
       Ns.Set_value (entry_path i, Some (Rng.string erng ~len:32)) :: !ebatch
   done;
-  Ns.Db.update_batch (Ns.db ens) !ebatch;
-  Ns.checkpoint ens;
+  Locked_ns.update_batch ens !ebatch;
+  Locked_ns.checkpoint ens;
   let esock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sdb-e18e-%d.sock" (Unix.getpid ()))
   in
   if Sys.file_exists esock then Sys.remove esock;
-  let elistener = Rpc.Socket.listen ~path:esock (Proto.serve ens) in
+  let elistener =
+    Rpc.Socket.listen ~path:esock (fun tr ->
+        Rpc.Server.serve ~handlers:(locked_ns_handlers ens) tr)
+  in
   let ecfg =
     {
       Loadgen.read_mostly with
@@ -1595,20 +1747,20 @@ let e18 ~quick () =
     | Loadgen.Write (k, v) -> Proto.Client.set_value c (entry_path k) (Some v)
   in
   let eslo =
-    Slo.create ~window_s:60.0 ~name:"bench.e18.epoch" ~objective_ms:75.0
+    Slo.create ~window_s:60.0 ~name:"bench.e18.locked" ~objective_ms:75.0
       ~budget:0.02 ()
   in
   let eobserve ~latency_s ~ok =
     if ok then Slo.record eslo latency_s else Slo.record_failure eslo
   in
-  record ~scenario:"epoch-read-mostly" slo_rate
+  record ~scenario:"locked-read-mostly" slo_rate
     (Loadgen.run ~observe:eobserve { ecfg with Loadgen.rate = slo_rate }
        ~exec:eexec);
   let erep = Slo.report eslo in
   json :=
     Printf.sprintf
-      "{\"experiment\": \"e18\", \"scenario\": \"epoch-summary\", \
-       \"read_path\": \"epoch\", \"read_fraction\": %.2f, \
+      "{\"experiment\": \"e18\", \"scenario\": \"locked-summary\", \
+       \"route\": \"locked\", \"read_fraction\": %.2f, \
        \"slo_name\": \"%s\", \"slo_objective_ms\": %.1f, \
        \"slo_budget\": %.3f, \"slo_bad_fraction\": %.5f, \
        \"slo_burn\": %.3f, \"slo_pass\": %b}"
@@ -1618,7 +1770,7 @@ let e18 ~quick () =
     :: !json;
   Array.iter Proto.Client.close eclients;
   Rpc.Socket.shutdown elistener;
-  Ns.close ens;
+  Locked_ns.close ens;
   if Sys.file_exists esock then Sys.remove esock;
   Array.iter Proto.Client.close clients;
   Proto.Client.close aux;
@@ -1637,7 +1789,7 @@ let e18 ~quick () =
     (Slo.objective_ms slo) slo_rate
     (if rep.Slo.r_pass then "PASS" else "FAIL")
     (rep.Slo.r_bad_fraction *. 100.0) rep.Slo.r_burn;
-  note "epoch route (99/1 mix) SLO at %.0f/s: %s (bad %.3f%%, burn %.2f)"
+  note "locked route (99/1 mix) SLO at %.0f/s: %s (bad %.3f%%, burn %.2f)"
     slo_rate
     (if erep.Slo.r_pass then "PASS" else "FAIL")
     (erep.Slo.r_bad_fraction *. 100.0) erep.Slo.r_burn;
@@ -1862,27 +2014,49 @@ let e19 ~quick () =
 
 let e20_json_file = "BENCH_E20.json"
 
+(* What E20 drives of an engine over the name server's tree, so the
+   name server and its locked twin run the same loop. *)
+module type NS_ENGINE = sig
+  type t
+
+  val open_exn : ?config:Smalldb.config -> Fs.t -> t
+  val query : t -> (Data.pnode -> 'a) -> 'a
+  val update : t -> Ns.update -> unit
+  val update_batch : t -> Ns.update list -> unit
+  val stats : t -> Smalldb.stats
+  val close : t -> unit
+end
+
 let e20 ~quick () =
   section "e20"
     "epoch read path: query throughput vs domains, writer streaming commits";
   (* Readers run in separate domains (real parallelism where the host
      has the cores); a writer thread on the main domain streams group
-     commits throughout.  On the Shared-lock route every query takes
-     the engine lock's mutex twice and parks behind upgrade drains; on
-     the epoch route a query is one fetch-and-add on a padded
-     per-domain slot, a pointer load, and the matching decrement —
-     readers never contend with the writer or each other.  [cores] is
-     recorded in the artifact because the scaling claim is only
-     observable where the cores exist: on a single-core host all
-     domains timeshare and both routes flatline. *)
+     commits throughout.  The routes are the two declarations of the
+     same application: declared [`Mutable], every query takes the
+     engine lock's mutex twice and parks behind upgrade drains;
+     declared [`Persistent] (the name server), a query is one
+     fetch-and-add on a padded per-domain slot, a pointer load, and the
+     matching decrement — readers never contend with the writer or
+     each other.  [cores] is recorded in the artifact because the
+     scaling claim is only observable where the cores exist: on a
+     single-core host all domains timeshare and both routes flatline. *)
   let entries = 1000 in
   let duration_s = if quick then 0.3 else 1.0 in
+  let reps = if quick then 3 else 5 in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let cores = Domain.recommended_domain_count () in
-  let run ~read_path ~domains =
-    let config = { Smalldb.default_config with read_path } in
-    let _store, _fs, ns = build_ns ~config ~entries ~seed:2000 () in
-    let lsn0 = (Ns.stats ns).Smalldb.lsn in
+  let run (module E : NS_ENGINE) ~domains =
+    let db = E.open_exn (Mem.fs (Mem.create_store ~seed:2000 ())) in
+    let rng = Rng.create ~seed:2000 in
+    E.update_batch db
+      (List.init entries (fun i ->
+           Ns.Set_value (entry_path i, Some (Rng.string rng ~len:32))));
+    let lookup path =
+      E.query db (fun root ->
+          match Data.pfind root path with Some n -> n.Data.pvalue | None -> None)
+    in
+    let lsn0 = (E.stats db).Smalldb.lsn in
     let stop = Atomic.make false in
     let writer =
       Thread.create
@@ -1890,9 +2064,9 @@ let e20 ~quick () =
           let rng = Rng.create ~seed:2001 in
           let i = ref 0 in
           while not (Atomic.get stop) do
-            Ns.set_value ns
-              (entry_path (!i mod entries))
-              (Some (Rng.string rng ~len:32));
+            E.update db
+              (Ns.Set_value
+                 (entry_path (!i mod entries), Some (Rng.string rng ~len:32)));
             incr i;
             (* ~1k commits/s: a steady stream, not a saturating one —
                the measured quantity is query scaling under writes. *)
@@ -1906,7 +2080,7 @@ let e20 ~quick () =
               let rng = Rng.create ~seed:(2002 + d) in
               let n = ref 0 in
               while not (Atomic.get stop) do
-                ignore (Ns.lookup ns (random_path rng entries));
+                ignore (lookup (random_path rng entries));
                 incr n
               done;
               !n))
@@ -1915,57 +2089,70 @@ let e20 ~quick () =
     Atomic.set stop true;
     let queries = List.fold_left (fun acc d -> acc + Domain.join d) 0 readers in
     Thread.join writer;
-    let updates = (Ns.stats ns).Smalldb.lsn - lsn0 in
-    Ns.close ns;
+    let updates = (E.stats db).Smalldb.lsn - lsn0 in
+    E.close db;
     (float_of_int queries /. duration_s, float_of_int updates /. duration_s)
   in
-  let routes = [ (`Locked, "locked"); (`Epoch, "epoch") ] in
+  let routes =
+    [ ("locked", (module Locked_ns : NS_ENGINE)); ("epoch", (module Ns.Db)) ]
+  in
   let results =
     List.concat_map
-      (fun (read_path, label) ->
+      (fun (label, engine) ->
         List.map
           (fun domains ->
-            let qps, ups = run ~read_path ~domains in
-            (label, domains, qps, ups))
+            let qps = Histogram.create () and ups = Histogram.create () in
+            for _ = 1 to reps do
+              let q, u = run engine ~domains in
+              Histogram.record qps q;
+              Histogram.record ups u
+            done;
+            (label, domains, qps, Histogram.percentile ups 50.))
           domain_counts)
       routes
   in
+  let median h = Histogram.percentile h 50. in
   let base label =
     match
       List.find_opt (fun (l, d, _, _) -> l = label && d = 1) results
     with
-    | Some (_, _, q, _) -> q
+    | Some (_, _, q, _) -> median q
     | None -> nan
   in
   let json = ref [] in
   let rows =
     List.map
       (fun (label, domains, qps, ups) ->
-        let speedup = qps /. base label in
+        let speedup = median qps /. base label in
         json :=
           Printf.sprintf
-            "{\"experiment\": \"e20\", \"read_path\": \"%s\", \
-             \"domains\": %d, \"cores\": %d, \"queries_per_s\": %.1f, \
-             \"updates_per_s\": %.1f, \"speedup_vs_1\": %.3f}"
-            label domains cores qps ups speedup
+            "{\"experiment\": \"e20\", \"route\": \"%s\", \
+             \"domains\": %d, \"reps\": %d, \"queries_per_s\": %.1f, \
+             \"queries_per_s_min\": %.1f, \"queries_per_s_max\": %.1f, \
+             \"updates_per_s\": %.1f, \"speedup_vs_1\": %.3f, %s}"
+            label domains reps (median qps) (Histogram.min qps)
+            (Histogram.max qps) ups speedup (host_json ~quick)
           :: !json;
         [
           label;
           string_of_int domains;
-          Printf.sprintf "%.0f /s" qps;
+          Printf.sprintf "%.0f /s" (median qps);
+          Printf.sprintf "%.0f-%.0f" (Histogram.min qps) (Histogram.max qps);
           Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%.0f /s" ups;
         ])
       results
   in
   Tablefmt.print
-    ~header:[ "read path"; "domains"; "queries"; "vs 1 domain"; "commits" ]
+    ~header:[ "read path"; "domains"; "queries"; "range"; "vs 1 domain"; "commits" ]
     rows;
   List.iter json_add (List.rev !json);
   write_json_rows e20_json_file (List.rev !json);
   note
-    "host has %d core%s -- query scaling with domains is only visible   where the cores exist; the artifact records cores so CI baselines   judge accordingly"
-    cores
+    "median of %d reps per row; host has %d core%s -- query scaling with \
+     domains is only visible where the cores exist; the artifact records \
+     cores so CI baselines judge accordingly"
+    reps cores
     (if cores = 1 then "" else "s");
   Printf.printf "  artifact: %s\n" e20_json_file;
   paper

@@ -23,7 +23,7 @@ let parse_path s =
 (* ------------------------------------------------------------------ *)
 (* serve                                                                *)
 
-let serve dir socket checkpoint_bytes retain read_path metrics_interval
+let serve dir socket checkpoint_bytes retain metrics_interval
     scrub_interval trace_ring trace_slow_ms =
   let fs = Sdb_storage.Real_fs.create ~root:dir in
   (* Arm the slow-span ring before opening the database so recovery
@@ -38,7 +38,6 @@ let serve dir socket checkpoint_bytes retain read_path metrics_interval
     {
       Smalldb.default_config with
       retain_previous = retain;
-      read_path;
       policy =
         (match checkpoint_bytes with
         | Some n -> Smalldb.Log_bytes_exceeds n
@@ -277,16 +276,6 @@ let serve_cmd =
       & info [ "retain-previous" ]
           ~doc:"Keep the previous checkpoint generation for hard-error recovery.")
   in
-  let read_path =
-    let route = Arg.enum [ ("locked", `Locked); ("epoch", `Epoch) ] in
-    Arg.(
-      value & opt route `Locked
-      & info [ "read-path" ] ~docv:"ROUTE"
-          ~doc:
-            "Query route: $(b,locked) (the paper's Shared lock) or \
-             $(b,epoch) (lock-free epoch-published snapshots — queries \
-             never block updates and scale across cores).")
-  in
   let metrics_interval =
     Arg.(
       value
@@ -319,8 +308,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc:"Run the name server.")
     Term.(
-      const serve $ dir $ socket_arg $ ckpt $ retain $ read_path
-      $ metrics_interval $ scrub_interval $ trace_ring $ trace_slow_ms)
+      const serve $ dir $ socket_arg $ ckpt $ retain $ metrics_interval
+      $ scrub_interval $ trace_ring $ trace_slow_ms)
 
 let client_cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 

@@ -13,6 +13,7 @@ module App = struct
   type update = Set of string * string
 
   let name = "crashdemo"
+  let state_kind = `Mutable
   let codec_state = P.hashtbl P.string P.string
 
   let codec_update =

@@ -19,6 +19,7 @@ module Dirs = struct
   type update = Create_file of string * string * int | Delete_file of string * string
 
   let name = "directories"
+  let state_kind = `Mutable
   let codec_state = P.hashtbl P.string (P.hashtbl P.string P.int)
 
   let codec_update =

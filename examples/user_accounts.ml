@@ -34,6 +34,7 @@ module App = struct
     | Add_to_group of string * string
 
   let name = "user-accounts"
+  let state_kind = `Mutable
   let codec_state = P.hashtbl P.string codec_account
 
   let codec_update =

@@ -21,6 +21,7 @@ module App = struct
   type nonrec update = update
 
   let name = "smalldb-kv"
+  let state_kind = `Mutable
   let codec_state = P.hashtbl P.string P.string
   let codec_update = codec_update
   let init () = Hashtbl.create 64

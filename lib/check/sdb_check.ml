@@ -459,6 +459,15 @@ module Mu = struct
     lock t;
     Fun.protect ~finally:(fun () -> unlock t) f
 
+  (* Never blocks, so the acquisition is noted once it succeeded. *)
+  let try_with_lock t f =
+    if not (Stdlib.Mutex.try_lock t.m) then None
+    else begin
+      (try note_acquire t.checker Mutex
+       with e -> Stdlib.Mutex.unlock t.m; raise e);
+      Some (Fun.protect ~finally:(fun () -> unlock t) f)
+    end
+
   let raw t = t.m
   let wait c t = Condition.wait c t.m
   let checker t = t.checker

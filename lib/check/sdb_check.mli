@@ -170,6 +170,11 @@ module Mu : sig
   val with_lock : t -> (unit -> 'a) -> 'a
   (** Lock, run, unlock (also on exception). *)
 
+  val try_with_lock : t -> (unit -> 'a) -> 'a option
+  (** [Some (with_lock t f)] when the mutex is free right now; [None],
+      without waiting and without running [f], when another thread
+      holds it. *)
+
   val raw : t -> Mutex.t
 
   val wait : Condition.t -> t -> unit

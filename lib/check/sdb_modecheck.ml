@@ -836,8 +836,9 @@ and dispatch fc st loc p args =
           mu_lock fc st loc m
       | ([ "Mu"; "unlock" ] | [ "Sdb_check"; "Mu"; "unlock" ]), [ m ] ->
           mu_unlock fc st m
-      | ([ "Mu"; "with_lock" ] | [ "Sdb_check"; "Mu"; "with_lock" ]), [ m; f ]
-        ->
+      | ( ( [ "Mu"; ("with_lock" | "try_with_lock") ]
+          | [ "Sdb_check"; "Mu"; ("with_lock" | "try_with_lock") ] ),
+          [ m; f ] ) ->
           mu_lock fc st loc m;
           (match
              List.find_opt

@@ -12,13 +12,15 @@ type recovery = {
 let checkpoint_file n = Printf.sprintf "checkpoint%d" n
 let log_file n = Printf.sprintf "logfile%d" n
 let archive_log_file n = Printf.sprintf "archive-logfile%d" n
+let log_base_file n = Printf.sprintf "logbase%d" n
 let version_file = "version"
 let newversion_file = "newversion"
 
 let generation version =
   { version; checkpoint_file = checkpoint_file version; log_file = log_file version }
 
-(* Parse "checkpoint<N>" / "logfile<N>"; anything else is foreign. *)
+(* Parse "checkpoint<N>" / "logfile<N>" / "logbase<N>"; anything else
+   is foreign. *)
 let parse_numbered name =
   let prefixed prefix =
     let plen = String.length prefix in
@@ -26,10 +28,11 @@ let parse_numbered name =
       int_of_string_opt (String.sub name plen (String.length name - plen))
     else None
   in
-  match prefixed "checkpoint" with
-  | Some n -> Some (`Checkpoint n)
-  | None -> (
-    match prefixed "logfile" with Some n -> Some (`Log n) | None -> None)
+  match (prefixed "checkpoint", prefixed "logfile", prefixed "logbase") with
+  | Some n, _, _ -> Some (`Checkpoint n)
+  | _, Some n, _ -> Some (`Log n)
+  | _, _, Some n -> Some (`Base n)
+  | None, None, None -> None
 
 let parse_version_contents s =
   match int_of_string_opt (String.trim s) with
@@ -53,27 +56,36 @@ let generation_complete fs gen =
 let write_checkpoint fs ~version blob =
   Fs.write_file fs (checkpoint_file version) blob
 
-let sync_version_file fs file contents =
-  Fs.write_file fs file contents
+let log_base fs version =
+  let file = log_base_file version in
+  if not (fs.Fs.exists file) then None
+  else
+    match parse_version_contents (Fs.read_file fs file) with
+    | Some lsn -> Some lsn
+    | None -> Fs.io_fail ~op:"read" ~file "malformed log base"
 
-(* With archiving, a superseded log is renamed into the audit trail
-   instead of deleted; its checkpoint is still removed. *)
-let remove_generation fs ~archive_logs ~keep_from removed =
+(* Drop the generations below [keep_from] and anything of a generation
+   above [current] (a switch that never committed).  With archiving, a
+   superseded log (and its base record) joins the audit trail instead;
+   its checkpoint is still removed. *)
+let remove_generations fs ~archive_logs ~keep_from ~current removed =
+  let remove name =
+    if fs.Fs.exists name then begin
+      fs.Fs.remove name;
+      removed := name :: !removed
+    end
+  in
   List.iter
     (fun name ->
       match parse_numbered name with
-      | Some (`Checkpoint n) ->
-        if n < keep_from then begin
-          fs.Fs.remove name;
-          removed := name :: !removed
-        end
+      | Some (`Checkpoint n) -> if n < keep_from || n > current then remove name
       | Some (`Log n) ->
-        if n < keep_from then
+        if n > current then remove name
+        else if n < keep_from then
           if archive_logs then fs.Fs.rename name (archive_log_file n)
-          else begin
-            fs.Fs.remove name;
-            removed := name :: !removed
-          end
+          else remove name
+      | Some (`Base n) ->
+        if n > current || (n < keep_from && not archive_logs) then remove name
       | None -> ())
     (fs.Fs.list_files ())
 
@@ -82,7 +94,7 @@ let commit ?(archive_logs = false) ~retain_previous ~old_version ~new_version fs
     invalid_arg "Checkpoint_store.commit: new checkpoint missing";
   if not (fs.Fs.exists (log_file new_version)) then
     invalid_arg "Checkpoint_store.commit: new log missing";
-  sync_version_file fs newversion_file (string_of_int new_version);
+  Fs.write_file fs newversion_file (string_of_int new_version);
   (* Committed.  Everything after this point is garbage collection and
      may be redone by recovery after a crash. *)
   let keep_from =
@@ -90,7 +102,7 @@ let commit ?(archive_logs = false) ~retain_previous ~old_version ~new_version fs
     | None -> new_version
     | Some old -> if retain_previous then old else new_version
   in
-  remove_generation fs ~archive_logs ~keep_from (ref []);
+  remove_generations fs ~archive_logs ~keep_from ~current:new_version (ref []);
   fs.Fs.remove version_file;
   fs.Fs.rename newversion_file version_file
 
@@ -132,7 +144,7 @@ let recover ?(archive_logs = false) ~retain_previous fs =
         (fun name ->
           match parse_numbered name with
           | Some (`Checkpoint n) -> generation_complete fs (generation n)
-          | Some (`Log _) | None -> false)
+          | Some (`Log _ | `Base _) | None -> false)
         (fs.Fs.list_files ())
     in
     (* An invalid [newversion] is normal (a torn commit — the paper's
@@ -156,18 +168,7 @@ let recover ?(archive_logs = false) ~retain_previous fs =
     (* Also drop any partially written *next* generation.  Superseded
        logs join the audit trail when archiving is on (a crash between
        the commit point and the renames must not lose history). *)
-    List.iter
-      (fun name ->
-        match parse_numbered name with
-        | Some (`Checkpoint n) ->
-          if n < keep_from || n > current_version then remove name
-        | Some (`Log n) ->
-          if n > current_version then remove name
-          else if n < keep_from then
-            if archive_logs then fs.Fs.rename name (archive_log_file n)
-            else remove name
-        | None -> ())
-      (fs.Fs.list_files ());
+    remove_generations fs ~archive_logs ~keep_from ~current:current_version removed;
     let completed_switch =
       if from_newversion then begin
         remove version_file;

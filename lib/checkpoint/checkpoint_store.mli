@@ -75,5 +75,15 @@ val archive_log_file : int -> string
 val archived_logs : Sdb_storage.Fs.t -> (int * string) list
 (** The retained audit trail, sorted by generation. *)
 
+val log_base_file : int -> string
+(** ["logbase<N>"]: the LSN of [logfile<N>]'s first entry, for logs
+    read across generations, since a log may open with entries its
+    predecessor also holds.  Archived with its log, otherwise removed
+    with its generation. *)
+
+val log_base : Sdb_storage.Fs.t -> int -> int option
+(** [None] when no record exists (such logs never overlap).  Raises
+    {!Sdb_storage.Fs.Read_error} or {!Sdb_storage.Fs.Io_error}. *)
+
 val disk_files : Sdb_storage.Fs.t -> (string * int) list
 (** All files with sizes — the E12 space accounting. *)

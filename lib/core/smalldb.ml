@@ -100,6 +100,7 @@ module type APP = sig
   type update
 
   val name : string
+  val state_kind : [ `Persistent | `Mutable ]
   val codec_state : state Pickle.t
   val codec_update : update Pickle.t
   val init : unit -> state
@@ -117,7 +118,6 @@ type config = {
   log_recovery : [ `Stop_at_damage | `Skip_damaged ];
   hard_error_fallback : bool;
   archive_logs : bool;
-  read_path : [ `Locked | `Epoch ];
 }
 
 let default_config =
@@ -127,7 +127,6 @@ let default_config =
     log_recovery = `Stop_at_damage;
     hard_error_fallback = true;
     archive_logs = false;
-    read_path = `Locked;
   }
 
 type phase_times = {
@@ -205,9 +204,14 @@ module Make (App : APP) = struct
   let codec_blob = Pickle.pair codec_meta App.codec_state
   let update_fp = Pickle.fingerprint App.codec_update
 
+  (* Picks the read route and what a checkpoint snapshots. *)
+  let persistent =
+    match App.state_kind with `Persistent -> true | `Mutable -> false
+
   (* One group-commit participant: an update (or a whole batch) that
      verified and pickled under the Update lock, joined the forming
-     group, and parks until the leader settles it. *)
+     group, and parks until the leader settles it — or the leader's
+     own update, prepared at the seal. *)
   type member_outcome =
     | M_pending
     | M_committed of int  (* the member's first LSN *)
@@ -221,24 +225,25 @@ module Make (App : APP) = struct
 
   type group = {
     mutable g_members : member list;  (* reverse join order *)
-    mutable g_sealed : bool;
-    mutable g_awaited : bool;  (* a checked updater waits for the seal *)
+    g_ticket : int;  (* formation order, in which groups commit *)
   }
 
   type t = {
     fs : Fs.t;
     config : config;
     lock : Vlock.t;
-    ckpt_mutex : Sdb_check.Mu.t;  (* serializes checkpoints of both kinds *)
+    ckpt_mutex : Sdb_check.Mu.t;  (* serializes checkpoints and scrubs *)
     (* Group-commit coordinator: the forming group (joined under the
        Update lock), the commit slot serializing leaders in formation
-       order, and the condition variable members park on — all guarded
-       by [gc_mutex].  The two cells are [Guarded] so the sanitizer
-       checks the contract on every access. *)
+       order (tickets: groups opened, and the one whose turn it is), and
+       the condition variable members park on — all guarded by
+       [gc_mutex].  The cells are [Guarded] so the sanitizer checks the
+       contract on every access. *)
     gc_mutex : Sdb_check.Mu.t;
     gc_cond : Condition.t;
     gc_forming : group option Sdb_check.Guarded.t;
-    gc_committing : bool Sdb_check.Guarded.t;
+    gc_opened : int Sdb_check.Guarded.t;
+    gc_serving : int Sdb_check.Guarded.t;
     (* What the last group cost and how many members it carried: the
        next leader's linger bound and target.  Touched only by the
        commit-slot holder. *)
@@ -246,11 +251,13 @@ module Make (App : APP) = struct
     mutable last_joined : int;
     (* reusable pickle scratch; guarded by the Update lock *)
     pickle_buf : Buffer.t;
-    (* The lock-free read path (config.read_path = `Epoch): the state
-       root is also published through an epoch-protected snapshot
-       pointer, swung at the end of every Exclusive window.  Requires
-       App.state to be persistent (see the mli). *)
-    epoch : App.state Epoch.t option;
+    (* Bytes of the last checkpoint read or written, which sizes the
+       next one's pickle buffer; guarded by [ckpt_mutex] once open. *)
+    mutable ckpt_bytes : int;
+    (* A persistent state's committed versions, published at the end of
+       every Exclusive window for lock-free enquiries; unused for a
+       mutable state. *)
+    epoch : App.state Epoch.t;
     mutable state : App.state;
     mutable wal : Wal.Writer.t;
     mutable generation : int;
@@ -296,9 +303,7 @@ module Make (App : APP) = struct
      pointer swing is then ordered with the commit, so a reader never
      observes version N+1 before version N. *)
   let publish_epoch t =
-    match t.epoch with
-    | None -> ()
-    | Some e -> Epoch.publish e ~lsn:t.lsn t.state
+    if persistent then Epoch.publish t.epoch ~lsn:t.lsn t.state
   [@@sdb.requires exclusive]
 
   let health t : health =
@@ -318,7 +323,7 @@ module Make (App : APP) = struct
   (* ---------------------------------------------------------------- *)
   (* Opening                                                           *)
 
-  let make fs config state wal generation lsn recovery =
+  let make fs config ~ckpt_bytes state wal generation lsn recovery =
     let gc_mutex = Sdb_check.Mu.make ("smalldb.gc:" ^ App.name) in
     {
       fs;
@@ -326,22 +331,20 @@ module Make (App : APP) = struct
       lock = Vlock.create ~name:App.name ();
       (* `Vlock kind: the checkpoint token only serializes checkpointers
          and scrubbers against each other and is held across deliberate
-         I/O (the concurrent checkpoint's WAL tail blit), so it is exempt
-         from the no-blocking-under-mutex rule — at runtime (the
+         I/O (the checkpoint write and the log tail blit), so it is
+         exempt from the no-blocking-under-mutex rule — at runtime (the
          sanitizer's I/O assert filters on kind) and statically. *)
       ckpt_mutex = Sdb_check.Mu.make ~kind:`Vlock ("smalldb.ckpt:" ^ App.name);
       gc_mutex;
       gc_cond = Condition.create ();
       gc_forming = Sdb_check.Guarded.create ~by:gc_mutex ~name:"gc_forming" None;
-      gc_committing =
-        Sdb_check.Guarded.create ~by:gc_mutex ~name:"gc_committing" false;
+      gc_opened = Sdb_check.Guarded.create ~by:gc_mutex ~name:"gc_opened" 0;
+      gc_serving = Sdb_check.Guarded.create ~by:gc_mutex ~name:"gc_serving" 0;
       last_flush_s = 0.;
       last_joined = 1;
       pickle_buf = Buffer.create 256;
-      epoch =
-        (match config.read_path with
-        | `Locked -> None
-        | `Epoch -> Some (Epoch.create ~name:App.name ~lsn state));
+      ckpt_bytes;
+      epoch = Epoch.create ~name:App.name ~lsn state;
       state;
       wal;
       generation;
@@ -373,8 +376,13 @@ module Make (App : APP) = struct
       next_sub = 0;
     }
 
-  let checkpoint_blob ~lsn state =
-    Pickle.to_string codec_blob ({ app = App.name; base_lsn = lsn }, state)
+  (* Sized from the previous checkpoint, with room to grow by an
+     eighth before the buffer has to double. *)
+  let checkpoint_blob ?(last_bytes = 0) ~lsn state =
+    Pickle.to_string
+      ~size_hint:(last_bytes + (last_bytes / 8))
+      codec_blob
+      ({ app = App.name; base_lsn = lsn }, state)
 
   let create_fresh fs config =
     let state = App.init () in
@@ -383,7 +391,9 @@ module Make (App : APP) = struct
     let wal = Wal.Writer.create fs (Store.log_file 0) ~fingerprint:update_fp in
     Store.commit ~archive_logs:config.archive_logs
       ~retain_previous:config.retain_previous ~old_version:None ~new_version:0 fs;
-    Ok (make fs config state wal 0 0 fresh_recovery)
+    Ok
+      (make fs config ~ckpt_bytes:(String.length blob) state wal 0 0
+         fresh_recovery)
 
   let load_checkpoint fs file =
     match Fs.read_file fs file with
@@ -397,27 +407,49 @@ module Make (App : APP) = struct
           Error
             (Printf.sprintf "checkpoint %s belongs to application %S, not %S" file
                meta.app App.name)
-        else Ok (meta, state))
+        else Ok (meta, state, String.length blob))
 
   let wal_policy = function
     | `Stop_at_damage -> Wal.Reader.Stop_at_damage
     | `Skip_damaged -> Wal.Reader.Skip_damaged
 
+  (* Fold [f] over one log's updates with their LSNs, from [lsn] on.
+     The log's first entry has LSN [first] (default [lsn]): a log may
+     open with the tail its predecessor also holds (see [checkpoint]),
+     and entries below [lsn] have been seen already. *)
+  let fold_updates fs ~policy ?first ~log ~init ~lsn f =
+    let first = Option.value first ~default:lsn in
+    if first > lsn then
+      Error (Printf.sprintf "log %s starts at lsn %d, after lsn %d" log first lsn)
+    else
+      match
+        Wal.Reader.fold fs log ~fingerprint:update_fp ~policy ~init:(init, lsn)
+          ~f:(fun (acc, lsn) (entry : Wal.Reader.entry) ->
+            if first + entry.index < lsn then (acc, lsn)
+            else
+              (f acc lsn (Pickle.decode App.codec_update entry.payload), lsn + 1))
+      with
+      | Error e -> Error (Format.asprintf "log %s: %a" log Wal.pp_error e)
+      | Ok ((acc, lsn), outcome) -> Ok (acc, lsn, outcome)
+      | exception Pickle.Error m ->
+        Error (Printf.sprintf "log %s: undecodable committed entry: %s" log m)
+
   (* Replay one log over (state, lsn); apply errors are fatal because a
-     committed update must be applicable. *)
-  let replay fs config ~log ~state ~lsn =
-    let f (state, lsn) (entry : Wal.Reader.entry) =
-      let u = Pickle.decode App.codec_update entry.payload in
-      (App.apply state u, lsn + 1)
-    in
+     committed update must be applicable.  Valid committed entries
+     beyond interior damage are a hard error (§4), not a torn tail:
+     truncating would silently lose them, so escalate instead. *)
+  let replay fs config ?first ~log ~state ~lsn () =
     match
-      Wal.Reader.fold fs log ~fingerprint:update_fp
-        ~policy:(wal_policy config.log_recovery) ~init:(state, lsn) ~f
+      fold_updates fs ~policy:(wal_policy config.log_recovery) ?first ~log
+        ~init:state ~lsn (fun state _ u -> App.apply state u)
     with
-    | Error e -> Error (Format.asprintf "log %s: %a" log Wal.pp_error e)
-    | Ok ((state, lsn), outcome) -> Ok (state, lsn, outcome)
-    | exception Pickle.Error m ->
-      Error (Printf.sprintf "log %s: undecodable committed entry: %s" log m)
+    | Ok (_, _, o) when o.Wal.Reader.entries_beyond_damage > 0 ->
+      Error
+        (Printf.sprintf
+           "log %s: interior damage with %d committed entries beyond it; use \
+            Skip_damaged recovery or restore from a replica"
+           log o.Wal.Reader.entries_beyond_damage)
+    | r -> r
 
   let restore fs config (rcv : Store.recovery) =
     let gen = rcv.Store.current in
@@ -430,47 +462,32 @@ module Make (App : APP) = struct
         | Error e ->
           Error
             (Printf.sprintf "%s; previous generation also unusable: %s" reason e)
-        | Ok (meta, state) -> (
+        | Ok (meta, state, bytes) -> (
           match
-            replay fs config ~log:prev.Store.log_file ~state ~lsn:meta.base_lsn
+            replay fs config ~log:prev.Store.log_file ~state ~lsn:meta.base_lsn ()
           with
-          | Error e -> Error (Printf.sprintf "%s; previous log: %s" reason e)
-          | Ok (_, _, outcome)
-            when outcome.Wal.Reader.entries_beyond_damage > 0 ->
-            (* The fallback log deserves the same discipline as the
-               current one: valid committed entries beyond interior
-               damage must escalate, not silently truncate. *)
-            Error
-              (Printf.sprintf
-                 "%s; previous log %s: interior damage with %d committed \
-                  entries beyond it; use Skip_damaged recovery or restore \
-                  from a replica"
-                 reason prev.Store.log_file
-                 outcome.Wal.Reader.entries_beyond_damage)
-          | Ok (state, lsn, _outcome) -> Ok (meta, state, lsn, true)))
+          | Error e -> Error (Printf.sprintf "%s; previous %s" reason e)
+          | Ok (state, lsn, _outcome) -> (
+            (* The current log may open with entries the previous log
+               already replayed; its recorded base says how many. *)
+            match Store.log_base fs gen.Store.version with
+            | first -> Ok (state, lsn, first, bytes)
+            | exception (Fs.Read_error _ | Fs.Io_error _) ->
+              Error (Printf.sprintf "%s; log base unreadable" reason))))
       | _ -> Error reason
     in
     let loaded =
       match current_ckpt with
-      | Ok (meta, state) -> Ok (meta, state, meta.base_lsn, false)
+      | Ok (meta, state, bytes) -> Ok (state, meta.base_lsn, None, bytes)
       | Error reason -> via_previous reason
     in
     match loaded with
     | Error e -> Error e
-    | Ok (_meta, state, lsn, used_previous) -> (
+    | Ok (state, lsn, first, ckpt_bytes) -> (
+      let used_previous = Result.is_error current_ckpt in
       let t1 = now () in
-      match replay fs config ~log:gen.Store.log_file ~state ~lsn with
+      match replay fs config ?first ~log:gen.Store.log_file ~state ~lsn () with
       | Error e -> Error e
-      | Ok (_, _, outcome)
-        when outcome.Wal.Reader.entries_beyond_damage > 0 ->
-        (* Valid committed entries exist beyond the damage: truncating
-           would silently lose them.  This is a hard error (§4), not a
-           torn tail — escalate instead of guessing. *)
-        Error
-          (Printf.sprintf
-             "log %s: interior damage with %d committed entries beyond it; use \
-              Skip_damaged recovery or restore from a replica"
-             gen.Store.log_file outcome.Wal.Reader.entries_beyond_damage)
       | Ok (state, lsn, outcome) ->
         let t2 = now () in
         let entries_in_file =
@@ -490,7 +507,9 @@ module Make (App : APP) = struct
             removed_files = rcv.Store.removed_files;
           }
         in
-        let t = make fs config state wal gen.Store.version lsn recovery in
+        let t =
+          make fs config ~ckpt_bytes state wal gen.Store.version lsn recovery
+        in
         (* Replayed log entries are not covered by the checkpoint we
            restored from: they count toward the next policy boundary. *)
         t.since_ckpt <- entries_in_file;
@@ -517,7 +536,12 @@ module Make (App : APP) = struct
   let scrap_partial_generation t next =
     List.iter
       (fun f -> try t.fs.Fs.remove f with Fs.Io_error _ -> ())
-      [ Store.newversion_file; Store.checkpoint_file next; Store.log_file next ]
+      [
+        Store.newversion_file;
+        Store.checkpoint_file next;
+        Store.log_base_file next;
+        Store.log_file next;
+      ]
 
   (* Called on any successful checkpoint: the fresh, empty log is the
      one operation in this design that reclaims disk space, so it both
@@ -531,181 +555,14 @@ module Make (App : APP) = struct
       Metrics.incr m_degraded_recoveries
     end
 
-  let checkpoint_locked t =
-    let t0 = now () in
-    let blob = checkpoint_blob ~lsn:t.lsn t.state in
-    let t1 = now () in
-    let next = t.generation + 1 in
-    (try
-       Store.write_checkpoint t.fs ~version:next blob;
-       (* Start the new generation's log before touching the old one:
-          any failure up to the commit point leaves the current
-          generation intact and appendable. *)
-       let wal = Wal.Writer.create t.fs (Store.log_file next) ~fingerprint:update_fp in
-       (try
-          Store.commit ~archive_logs:t.config.archive_logs
-            ~retain_previous:t.config.retain_previous
-            ~old_version:(Some t.generation) ~new_version:next t.fs
-        with e ->
-          (try Wal.Writer.close wal with Fs.Io_error _ -> ());
-          raise e);
-       (try Wal.Writer.close t.wal with Fs.Io_error _ -> ());
-       Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
-         ~site:"checkpoint_locked.install";
-       t.wal <- wal;
-       t.generation <- next;
-       t.ckpts <- t.ckpts + 1;
-       t.since_ckpt <- 0;
-       note_space_reclaimed t
-     with
-     | Fs.No_space _ as e ->
-       (* Disk full strictly before the commit point — the [newversion]
-          write is all-or-nothing under the [No_space] contract, so the
-          switch either fully happened (then [commit] returned) or not
-          at all.  Scrap the partial next generation and fail just this
-          checkpoint; the engine stays usable on the old one. *)
-       scrap_partial_generation t next;
-       raise e
-     | e ->
-       t.poisoned <- true;
-       raise e);
-    let t2 = now () in
-    t.t_ckpt_pickle <- t.t_ckpt_pickle +. (t1 -. t0);
-    t.t_ckpt_write <- t.t_ckpt_write +. (t2 -. t1);
-    Metrics.incr m_checkpoints;
-    Metrics.observe m_ckpt_pickle (t1 -. t0);
-    Metrics.observe m_ckpt_write (t2 -. t1);
-    if Trace.active () then
-      Trace.span "checkpoint"
-        ~attrs:
-          [
-            ("app", App.name);
-            ("kind", "blocking");
-            ("generation", string_of_int t.generation);
-          ]
-        ~start_s:t0 ~dur_s:(t2 -. t0)
-  [@@sdb.requires update]
-
-  let checkpoint t =
-    check_usable t;
-    Sdb_check.Mu.lock t.ckpt_mutex;
-    Fun.protect
-      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
-      (fun () ->
-        Vlock.acquire t.lock Vlock.Update;
-        Fun.protect
-          ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
-          (fun () ->
-            check_usable t;
-            checkpoint_locked t))
-  [@@sdb.acquires update]
-
-  (* The fuzzy checkpoint: snapshot cheaply (the state is immutable),
-     pickle with no lock held, then briefly take the update lock to
-     carry the few concurrently-committed entries into the new
-     generation's log and commit the switch. *)
-  let checkpoint_concurrent t =
-    check_usable t;
-    if t.config.archive_logs then
-      invalid_arg "Smalldb.checkpoint_concurrent: incompatible with archive_logs";
-    Sdb_check.Mu.lock t.ckpt_mutex;
-    Fun.protect
-      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
-      (fun () ->
-        check_usable t;
-        (* Phase 1: O(1) snapshot.  A momentary update lock pins the
-           (state, lsn, log length) triple consistently. *)
-        let snapshot, snap_lsn, snap_off =
-          Vlock.with_lock t.lock Vlock.Update (fun () ->
-              (t.state, t.lsn, Wal.Writer.length t.wal))
-        in
-        (* Phase 2: the expensive work, with updates running freely. *)
-        let t0 = now () in
-        let blob = checkpoint_blob ~lsn:snap_lsn snapshot in
-        let t1 = now () in
-        let next = t.generation + 1 in
-        let committed = ref false in
-        (try
-           Store.write_checkpoint t.fs ~version:next blob;
-           (* Phase 3: brief exclusion, proportional to the updates
-              that arrived during phase 2. *)
-           Vlock.acquire t.lock Vlock.Update;
-           Fun.protect
-             ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
-             (fun () ->
-               let wal' =
-                 Wal.Writer.create t.fs (Store.log_file next) ~fingerprint:update_fp
-               in
-               (* Blit the tail committed since the snapshot — raw
-                 frames, O(updates during the pickle), no decoding. *)
-               let tail_count = t.lsn - snap_lsn in
-               let tail_len = Wal.Writer.length t.wal - snap_off in
-               if tail_len > 0 then begin
-                 let r = t.fs.Fs.open_reader (Store.log_file t.generation) in
-                 Fun.protect
-                   ~finally:(fun () -> r.Fs.r_close ())
-                   (fun () ->
-                     r.Fs.r_seek snap_off;
-                     let buf = Bytes.create tail_len in
-                     let rec fill got =
-                       if got < tail_len then begin
-                         let n = r.Fs.r_read buf got (tail_len - got) in
-                         if n = 0 then
-                           Fs.io_fail ~op:"read" "checkpoint_concurrent: short tail read";
-                         fill (got + n)
-                       end
-                     in
-                     fill 0;
-                     Wal.Writer.append_raw_frames wal'
-                       (Bytes.unsafe_to_string buf)
-                       ~count:tail_count);
-                 Wal.Writer.sync wal'
-               end;
-               (try
-                  Store.commit ~archive_logs:false
-                    ~retain_previous:t.config.retain_previous
-                    ~old_version:(Some t.generation) ~new_version:next t.fs
-                with e ->
-                  (try Wal.Writer.close wal' with Fs.Io_error _ -> ());
-                  raise e);
-               committed := true;
-               (try Wal.Writer.close t.wal with Fs.Io_error _ -> ());
-               Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
-                 ~site:"checkpoint_concurrent.install";
-               t.wal <- wal';
-               t.generation <- next;
-               t.ckpts <- t.ckpts + 1;
-               (* The tail carried into the new log is not covered by
-                  the snapshot just written. *)
-               t.since_ckpt <- tail_count;
-               note_space_reclaimed t)
-         with
-         | (Fs.No_space _ | Wal.Append_rolled_back _) as e when not !committed ->
-           (* Pre-commit-point: the current generation is intact (the
-              tail blit appends only to the not-yet-referenced new log,
-              and a rolled-back append restored even that).  Scrap the
-              partials and fail cleanly. *)
-           scrap_partial_generation t next;
-           raise e
-         | e ->
-           t.poisoned <- true;
-           raise e);
-        let t2 = now () in
-        t.t_ckpt_pickle <- t.t_ckpt_pickle +. (t1 -. t0);
-        t.t_ckpt_write <- t.t_ckpt_write +. (t2 -. t1);
-        Metrics.incr m_checkpoints;
-        Metrics.observe m_ckpt_pickle (t1 -. t0);
-        Metrics.observe m_ckpt_write (t2 -. t1);
-        if Trace.active () then
-          Trace.span "checkpoint"
-            ~attrs:
-              [
-                ("app", App.name);
-                ("kind", "concurrent");
-                ("generation", string_of_int t.generation);
-              ]
-            ~start_s:t0 ~dur_s:(t2 -. t0))
-  [@@sdb.acquires update]
+  (* Bytes read, [want] unless the file ends first. *)
+  let really_read r buf want =
+    let rec go got =
+      if got >= want then got
+      else
+        match r.Fs.r_read buf got (want - got) with 0 -> got | n -> go (got + n)
+    in
+    go 0
 
   let due_for_checkpoint t =
     match t.config.policy with
@@ -715,15 +572,147 @@ module Make (App : APP) = struct
     | Every_n_updates n -> n > 0 && t.since_ckpt >= n
     | Log_bytes_exceeds limit -> Wal.Writer.length t.wal > limit
 
+  (* The one checkpoint (see the mli for its three phases).  Phase 1
+     captures snapshot, LSN and log offset in one Update hold, so the
+     offset matches the snapshot; phase 3 blits the tail as raw
+     frames.  The caller holds [ckpt_mutex] and no engine lock.  Before
+     the commit point a [No_space], a rolled-back append or a sanitizer
+     report scraps the new generation and leaves the engine usable; an
+     engine poisoned meanwhile (by a failed group fsync) is left as it
+     is, its partial files to the recovery of the next open; any other
+     failure, and any after the commit point, poisons.  With
+     [if_due], phase 1 first checks that the policy still calls for a
+     checkpoint. *)
+  let checkpoint_held ~if_due t =
+    let blob_of ~lsn st = checkpoint_blob ~last_bytes:t.ckpt_bytes ~lsn st in
+    match
+      Vlock.with_lock t.lock Vlock.Update (fun () ->
+          check_usable t;
+          if if_due && not (due_for_checkpoint t) then None
+          else
+            let t0 = now () in
+            let snap =
+              if persistent then `State t.state
+              else `Blob (blob_of ~lsn:t.lsn t.state)
+            in
+            Some (t0, snap, t.lsn, Wal.Writer.length t.wal))
+    with
+    | None -> ()
+    | Some (t0, snap, snap_lsn, snap_off) ->
+      let blob =
+        match snap with `Blob b -> b | `State st -> blob_of ~lsn:snap_lsn st
+      in
+      let t1 = now () in
+      let next = t.generation + 1 in
+      let committed = ref false in
+      let new_wal = ref None in
+      (try
+         Store.write_checkpoint t.fs ~version:next blob;
+         (* Logs read across generations (the archive, the retained
+            previous generation) need the new log's first LSN. *)
+         if t.config.archive_logs || t.config.retain_previous then
+           Fs.write_file t.fs (Store.log_base_file next) (string_of_int snap_lsn);
+         let wal' =
+           Wal.Writer.create t.fs (Store.log_file next) ~fingerprint:update_fp
+         in
+         new_wal := Some wal';
+         Vlock.with_lock t.lock Vlock.Update (fun () ->
+             check_usable t;
+             (* A published version must not have changed since phase 1:
+                the declaration [`Persistent] is a promise the engine
+                can only check by pickling it again. *)
+             (match snap with
+             | `State st
+               when Sdb_check.enabled ()
+                    && not (String.equal blob (blob_of ~lsn:snap_lsn st)) ->
+               Sdb_check.epoch_violation ~name:App.name
+                 ~message:
+                   "checkpoint snapshot mutated while it was written (a \
+                    mutable state declared `Persistent)"
+             | _ -> ());
+             let tail_count = t.lsn - snap_lsn in
+             let tail_len = Wal.Writer.length t.wal - snap_off in
+             if tail_len > 0 then begin
+               let log = Store.log_file t.generation in
+               let r = t.fs.Fs.open_reader log in
+               let tail = Bytes.create tail_len in
+               Fun.protect
+                 ~finally:(fun () -> r.Fs.r_close ())
+                 (fun () ->
+                   r.Fs.r_seek snap_off;
+                   if really_read r tail tail_len < tail_len then
+                     Fs.io_fail ~op:"read" ~file:log "short log tail");
+               Wal.Writer.append_raw_frames wal' (Bytes.unsafe_to_string tail)
+                 ~count:tail_count;
+               Wal.Writer.sync wal'
+             end;
+             Store.commit ~archive_logs:t.config.archive_logs
+               ~retain_previous:t.config.retain_previous
+               ~old_version:(Some t.generation) ~new_version:next t.fs;
+             committed := true;
+             (try Wal.Writer.close t.wal with Fs.Io_error _ -> ());
+             Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
+               ~site:"checkpoint.install";
+             t.wal <- wal';
+             t.generation <- next;
+             t.ckpts <- t.ckpts + 1;
+             t.ckpt_bytes <- String.length blob;
+             (* The carried tail is not covered by the snapshot. *)
+             t.since_ckpt <- tail_count;
+             note_space_reclaimed t)
+       with e ->
+         if not !committed then
+           Option.iter
+             (fun w -> try Wal.Writer.close w with Fs.Io_error _ -> ())
+             !new_wal;
+         (match e with
+         | Poisoned | Closed when not !committed -> ()
+         | Fs.No_space _ | Wal.Append_rolled_back _ | Sdb_check.Violation _
+           when not !committed ->
+           scrap_partial_generation t next
+         | _ -> t.poisoned <- true);
+         raise e);
+      let t2 = now () in
+      let pickle_s = t1 -. t0 in
+      t.t_ckpt_pickle <- t.t_ckpt_pickle +. pickle_s;
+      t.t_ckpt_write <- t.t_ckpt_write +. (t2 -. t1);
+      Metrics.incr m_checkpoints;
+      Metrics.observe m_ckpt_pickle pickle_s;
+      Metrics.observe m_ckpt_write (t2 -. t1);
+      if Trace.active () then
+        Trace.span "checkpoint"
+          ~attrs:
+            [
+              ("app", App.name);
+              ("kind", if persistent then "persistent" else "mutable");
+              ("generation", string_of_int next);
+            ]
+          ~start_s:t0 ~dur_s:(t2 -. t0)
+  [@@sdb.acquires update]
+
+  let checkpoint t =
+    check_usable t;
+    Sdb_check.Mu.with_lock t.ckpt_mutex (fun () -> checkpoint_held ~if_due:false t)
+  [@@sdb.acquires update]
+
+  (* Run by the updater whose group crossed the policy's threshold,
+     after it left the commit slot, so the next group commits while this
+     checkpoint writes; one already in flight covers it. *)
   let maybe_auto_checkpoint t =
-    if due_for_checkpoint t && now () >= t.auto_ckpt_retry_at then
-      try checkpoint t
-      with Fs.No_space _ ->
-        (* The update itself committed; the log just could not be
-           compacted yet.  Back off and keep running — degraded mode is
-           entered only once an append itself no longer fits. *)
-        t.auto_ckpt_backoff <- Float.min (t.auto_ckpt_backoff *. 2.) backoff_max;
-        t.auto_ckpt_retry_at <- now () +. t.auto_ckpt_backoff
+    if due_for_checkpoint t then
+      ignore
+        (Sdb_check.Mu.try_with_lock t.ckpt_mutex (fun () ->
+             if now () >= t.auto_ckpt_retry_at then
+               try checkpoint_held ~if_due:true t
+               with Fs.No_space _ ->
+                 (* The update itself committed; the log just could not
+                    be compacted yet.  Back off and keep running —
+                    degraded mode is entered only once an append itself
+                    no longer fits. *)
+                 t.auto_ckpt_backoff <-
+                   Float.min (t.auto_ckpt_backoff *. 2.) backoff_max;
+                 t.auto_ckpt_retry_at <- now () +. t.auto_ckpt_backoff)
+          : unit option)
 
   (* Degraded mode is read-only: enquiries run, updates are refused
      with [Degraded].  Once the backoff timer expires, an update
@@ -769,6 +758,10 @@ module Make (App : APP) = struct
 
   let is_pending m = match m.m_outcome with M_pending -> true | _ -> false
 
+  (* Whether [g] still takes joiners (call under [gc_mutex]). *)
+  let is_forming t g =
+    match Sdb_check.Guarded.get t.gc_forming with Some f -> f == g | None -> false
+
   (* Wake every still-pending member with its outcome.  Every leader
      path calls this exactly once, before notifications run. *)
   let wake_group t members outcome_of =
@@ -781,7 +774,7 @@ module Make (App : APP) = struct
 
   let release_slot t =
     Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
-        Sdb_check.Guarded.set t.gc_committing false;
+        Sdb_check.Guarded.set t.gc_serving (Sdb_check.Guarded.get t.gc_serving + 1);
         Condition.broadcast t.gc_cond)
   [@@sdb.noblock]
 
@@ -791,21 +784,23 @@ module Make (App : APP) = struct
      quantum) or while its group is still smaller than the last one (the
      last group's members are on their way back) — but never longer than
      the last group's flush took, since lingering longer than one fsync
-     is never a win, and not at all once a checked updater waits for the
-     seal.  It sleeps between looks, so the joiners get the CPU.  With a
-     single updater nobody is queued and the last group had one member:
-     no wait at all.  Returns whether it waited. *)
+     is never a win, and not at all once a checked update has closed
+     the group to joiners.  It sleeps between looks, so the joiners get
+     the CPU.  With a single updater nobody is queued and the last group
+     had one member: no wait at all (a checked leader, [own], counts
+     its own update, which joins at the seal).  Returns whether it
+     waited. *)
   let linger_slice = 50e-6
 
-  let linger t g =
+  let linger t ~own g =
     let limit = now () +. t.last_flush_s in
     let worth_waiting () =
-      let awaited, joined =
+      let forming, joined =
         Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
-            (g.g_awaited, List.length g.g_members))
+            (is_forming t g, List.length g.g_members))
       in
-      (not awaited)
-      && (joined < t.last_joined
+      forming
+      && (joined + Bool.to_int own < t.last_joined
          || (Vlock.waiting t.lock).Vlock.waiting_update > 0)
     in
     let rec go waited =
@@ -818,19 +813,52 @@ module Make (App : APP) = struct
     in
     go false
 
+  (* Steps (1) and (2) up to the log write, under the Update lock:
+     verify against the current state, then pickle the parameters. *)
+  let prepare t verify updates =
+    let t0 = now () in
+    let v = verify t.state in
+    let dv = now () -. t0 in
+    t.t_verify <- t.t_verify +. dv;
+    Metrics.observe m_phase_verify dv;
+    if Trace.active () then
+      Trace.span "update.verify" ~attrs:[ ("app", App.name) ] ~start_s:t0 ~dur_s:dv;
+    Result.map
+      (fun () ->
+        let t1 = now () in
+        (* The scratch buffer is guarded by the Update lock. *)
+        Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
+          ~site:"commit.pickle_buf";
+        let payloads =
+          List.map
+            (fun u ->
+              Buffer.clear t.pickle_buf;
+              Pickle.encode_into t.pickle_buf App.codec_update u;
+              Buffer.contents t.pickle_buf)
+            updates
+        in
+        let dp = now () -. t1 in
+        t.t_pickle <- t.t_pickle +. dp;
+        Metrics.observe m_phase_pickle dp;
+        { m_updates = updates; m_payloads = payloads; m_outcome = M_pending })
+      v
+
   (* The group leader: the updater that opened the forming group.
-     It (1) claims the commit slot, so groups commit in formation
-     order; (2) lingers (above); (3) takes the Update lock and seals
-     the group (members join under that same lock, so from here the
-     member list is final and nothing else can touch the writer's
-     staging buffer); (4) stages every member's frames and emits them
-     with one write + one fsync — the commit point; (5) upgrades to
-     Exclusive once and applies the whole group in stage order,
+     It (1) claims the commit slot, so groups commit one at a time in
+     formation order;
+     (2) lingers (above); (3) takes the Update lock and seals the group
+     (members join under that same lock, so from here the member list
+     is final and nothing else can touch the writer's staging buffer);
+     a checked leader ([own]) verifies and pickles its own update now,
+     first in its group; (4) stages every member's frames and emits
+     them with one write + one fsync — the commit point; (5) upgrades
+     to Exclusive once and applies the whole group in stage order,
      assigning dense LSNs; (6) wakes the group and notifies subscribers
-     in LSN order; (7) runs the auto-checkpoint, still inside the
-     commit slot, so racing leaders never write duplicate checkpoints.
-     Update is held from the seal through the apply: whoever takes it
-     next sees every sealed group applied.
+     in LSN order, then leaves the commit slot ([commit] runs the
+     auto-checkpoint after that).  Update is held from the seal through
+     the apply: whoever takes it next sees every sealed group applied,
+     and a checked leader's precondition sees exactly the state its
+     update applies to.
 
      Every exit path either releases the lock or poisons the engine
      AND releases — never leaks.  A failure BEFORE the commit point
@@ -840,6 +868,8 @@ module Make (App : APP) = struct
      deadlocks.  Member-wise (§4b/§4c):
      - poisoned/closed at seal time: members fail with
        [Poisoned]/[Closed]; nothing was staged;
+     - a refused or raising precondition of the leader's own update:
+       only that update fails, the rest of the group commits;
      - a frame rejected at stage time (oversized payload): nothing on
        disk, the whole group fails with that exception, engine usable;
      - [No_space] on the group append: all-or-nothing, so nothing
@@ -852,26 +882,26 @@ module Make (App : APP) = struct
        [Poisoned], the leader re-raises the original failure;
      - a failing [apply]: poison (a committed update must apply).
 
-     The leader raises its own failure; it returns normally only when
-     the whole group committed. *)
-  let lead t (g : group) =
+     The leader raises its own failure; otherwise it returns its own
+     update's verdict once the whole group committed. *)
+  let lead t ?own (g : group) =
     let traced = Trace.active () in
     let t_join0 = now () in
     Sdb_check.Mu.lock t.gc_mutex;
-    let queued = Sdb_check.Guarded.get t.gc_committing in
-    while Sdb_check.Guarded.get t.gc_committing do
+    let queued = Sdb_check.Guarded.get t.gc_serving <> g.g_ticket in
+    while Sdb_check.Guarded.get t.gc_serving <> g.g_ticket do
       Sdb_check.Mu.wait t.gc_cond t.gc_mutex
     done;
-    Sdb_check.Guarded.set t.gc_committing true;
     Sdb_check.Mu.unlock t.gc_mutex;
     Fun.protect ~finally:(fun () -> release_slot t) @@ fun () ->
-    let lingered = linger t g in
+    let lingered = linger t ~own:(own <> None) g in
     (* The leader's "join" phase is the commit-slot wait plus the
        linger; a member's (below) is its park on the group outcome.
        An updater that never waited emits none. *)
     if traced && (queued || lingered) then
       Trace.span "update.join"
-        ~attrs:[ ("app", App.name); ("role", "leader") ]
+        ~attrs:
+          [ ("app", App.name); ("role", if own = None then "leader" else "checked") ]
         ~start_s:t_join0 ~dur_s:(now () -. t_join0);
     Vlock.acquire t.lock Vlock.Update;
     let held = ref (Some Vlock.Update) in
@@ -885,8 +915,7 @@ module Make (App : APP) = struct
     (* Seal: late arrivals will form (and lead) the next group. *)
     let members =
       Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
-          Sdb_check.Guarded.set t.gc_forming None;
-          g.g_sealed <- true;
+          if is_forming t g then Sdb_check.Guarded.set t.gc_forming None;
           List.rev g.g_members)
     in
     let fail_all ?(poison = false) ~leader member_exn =
@@ -895,13 +924,26 @@ module Make (App : APP) = struct
       wake_group t members (fun _ -> M_failed member_exn);
       raise leader
     in
+    if t.closed then fail_all ~leader:Closed Closed;
+    if t.poisoned then fail_all ~leader:Poisoned Poisoned;
+    let verdict, batch =
+      match own with
+      | None -> ((fun () -> Ok ()), members)
+      | Some (verify, updates) -> (
+        match prepare t verify updates with
+        | Ok m -> ((fun () -> Ok ()), m :: members)
+        | Error e -> ((fun () -> Error e), members)
+        | exception e -> ((fun () -> raise e), members))
+    in
+    let size = [ ("app", App.name); ("group_size", string_of_int (List.length batch)) ] in
+    if batch = [] then begin
+      release ();
+      verdict ()
+    end
+    else
     match
-      if t.closed then fail_all ~leader:Closed Closed;
-      if t.poisoned then fail_all ~leader:Poisoned Poisoned;
       (match
-         List.iter
-           (fun m -> List.iter (Wal.Writer.stage t.wal) m.m_payloads)
-           members
+         List.iter (fun m -> List.iter (Wal.Writer.stage t.wal) m.m_payloads) batch
        with
       | () -> ()
       | exception e ->
@@ -918,16 +960,9 @@ module Make (App : APP) = struct
       let t2 = now () in
       t.t_log <- t.t_log +. (t2 -. t1);
       t.last_flush_s <- t2 -. t1;
-      t.last_joined <- List.length members;
+      t.last_joined <- List.length batch;
       Metrics.observe m_phase_log (t2 -. t1);
-      if traced then
-        Trace.span "update.log"
-          ~attrs:
-            [
-              ("app", App.name);
-              ("group_size", string_of_int (List.length members));
-            ]
-          ~start_s:t1 ~dur_s:(t2 -. t1);
+      if traced then Trace.span "update.log" ~attrs:size ~start_s:t1 ~dur_s:(t2 -. t1);
       Vlock.upgrade t.lock;
       held := Some Vlock.Exclusive;
       Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Exclusive
@@ -935,20 +970,12 @@ module Make (App : APP) = struct
       (try
          let t0 = now () in
          List.iter
-           (fun m ->
-             List.iter (fun u -> t.state <- App.apply t.state u) m.m_updates)
-           members;
+           (fun m -> List.iter (fun u -> t.state <- App.apply t.state u) m.m_updates)
+           batch;
          let da = now () -. t0 in
          t.t_apply <- t.t_apply +. da;
          Metrics.observe m_phase_apply da;
-         if traced then
-           Trace.span "update.apply"
-             ~attrs:
-               [
-                 ("app", App.name);
-                 ("group_size", string_of_int (List.length members));
-               ]
-             ~start_s:t0 ~dur_s:da
+         if traced then Trace.span "update.apply" ~attrs:size ~start_s:t0 ~dur_s:da
        with e -> fail_all ~poison:true ~leader:e Poisoned);
       let base = t.lsn in
       let assigned =
@@ -957,7 +984,7 @@ module Make (App : APP) = struct
             let first = t.lsn in
             t.lsn <- t.lsn + List.length m.m_updates;
             (m, first))
-          members
+          batch
       in
       let n_total = t.lsn - base in
       t.committed <- t.committed + n_total;
@@ -990,121 +1017,76 @@ module Make (App : APP) = struct
          commit slot is still held, so groups notify in LSN order; a
          raising subscriber propagates to the leader's caller (the
          whole group is already durable, applied, and awake). *)
-      Trace.with_span "update.notify"
-        ~attrs:
-          [
-            ("app", App.name);
-            ("group_size", string_of_int (List.length assigned));
-          ]
-        (fun () ->
+      Trace.with_span "update.notify" ~attrs:size (fun () ->
           List.iter
             (fun (m, first) ->
               List.iteri (fun i u -> notify t (first + i) u) m.m_updates)
             assigned);
-      maybe_auto_checkpoint t
+      verdict ()
   [@@sdb.acquires exclusive]
-
-  (* Park until [f] holds, then emit the wait as one [update.join]
-     span. *)
-  let park t ~role f =
-    let t0 = now () in
-    Sdb_check.Mu.lock t.gc_mutex;
-    while not (f ()) do
-      Sdb_check.Mu.wait t.gc_cond t.gc_mutex
-    done;
-    Sdb_check.Mu.unlock t.gc_mutex;
-    if Trace.active () then
-      Trace.span "update.join"
-        ~attrs:[ ("app", App.name); ("role", role) ]
-        ~start_s:t0 ~dur_s:(now () -. t0)
 
   (* Every update, checked or not, single or batched: the paper's three
      steps under the paper's locks, with the log write shared.  Under
-     the Update lock (enquiries keep running) this thread verifies and
-     pickles, then joins the forming group — or opens one and becomes
-     its leader — and releases the lock.  A member parks until the
-     leader settles the whole group with one write and one fsync; the
-     leader commits as above.  A raising [verify] or pickler propagates
-     with the lock released and nothing joined: nothing reached the
-     disk, so only this update fails and the engine stays usable.
+     the Update lock (enquiries keep running) a plain update verifies
+     and pickles, then joins the forming group — or opens one and
+     becomes its leader — and releases the lock.  A member parks until
+     the leader settles the whole group with one write and one fsync;
+     the leader commits as above.  A raising pickler propagates with
+     the lock released and nothing joined: nothing reached the disk,
+     so only this update fails and the engine stays usable.
 
-     Preconditions are serial: [verify] must see every update staged
+     Preconditions are serial: [verify] must see every update ordered
      before its own.  An open group's members are staged but not yet
-     applied, so a checked updater may open a group but never joins a
-     non-empty one: it releases Update, waits for that group's seal
-     and retries.  The leader holds Update from the seal through the
-     apply, so the retry verifies against the applied state.  Plain
-     updates (no [verify]) join freely. *)
-  let rec commit t ?verify updates =
+     applied, so a checked update never joins one: it always opens a
+     group of its own, closing the forming one to joiners, and verifies
+     at its seal (see [lead]).  Plain updates arriving meanwhile join
+     behind it.  Groups commit in formation order, so it waits out at
+     most the group committing and the one it closed, however many
+     plain updates flood in. *)
+  let commit t ?verify updates =
     check_updatable t;
     let step =
       Vlock.with_lock t.lock Vlock.Update (fun () ->
-          let busy =
-            match verify with
-            | None -> None
-            | Some _ ->
-              Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
-                  match Sdb_check.Guarded.get t.gc_forming with
-                  | Some g ->
-                    g.g_awaited <- true;
-                    Some g
-                  | None -> None)
+          let opened members =
+            let g =
+              { g_members = members; g_ticket = Sdb_check.Guarded.get t.gc_opened }
+            in
+            Sdb_check.Guarded.set t.gc_opened (g.g_ticket + 1);
+            Sdb_check.Guarded.set t.gc_forming (Some g);
+            `Leader g
           in
-          match busy with
-          | Some g -> `Await_seal g
+          match verify with
+          | Some _ -> Sdb_check.Mu.with_lock t.gc_mutex (fun () -> opened [])
           | None -> (
-            let t0 = now () in
-            let v = match verify with None -> Ok () | Some f -> f t.state in
-            let dv = now () -. t0 in
-            t.t_verify <- t.t_verify +. dv;
-            Metrics.observe m_phase_verify dv;
-            if Trace.active () then
-              Trace.span "update.verify"
-                ~attrs:[ ("app", App.name) ]
-                ~start_s:t0 ~dur_s:dv;
-            match v with
-            | Error e -> `Refused e
-            | Ok () ->
-              let t1 = now () in
-              (* The scratch buffer is guarded by the Update lock. *)
-              Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
-                ~site:"commit.pickle_buf";
-              let payloads =
-                List.map
-                  (fun u ->
-                    Buffer.clear t.pickle_buf;
-                    Pickle.encode_into t.pickle_buf App.codec_update u;
-                    Buffer.contents t.pickle_buf)
-                  updates
-              in
-              let dp = now () -. t1 in
-              t.t_pickle <- t.t_pickle +. dp;
-              Metrics.observe m_phase_pickle dp;
-              let m =
-                { m_updates = updates; m_payloads = payloads; m_outcome = M_pending }
-              in
+            match prepare t (fun _ -> Ok ()) updates with
+            | Error _ -> assert false (* no precondition, nothing to refuse *)
+            | Ok m ->
               Sdb_check.Mu.with_lock t.gc_mutex (fun () ->
                   match Sdb_check.Guarded.get t.gc_forming with
                   | Some g ->
                     g.g_members <- m :: g.g_members;
                     `Member m
-                  | None ->
-                    let g =
-                      { g_members = [ m ]; g_sealed = false; g_awaited = false }
-                    in
-                    Sdb_check.Guarded.set t.gc_forming (Some g);
-                    `Leader g)))
+                  | None -> opened [ m ])))
     in
     match step with
-    | `Refused e -> Error e
-    | `Await_seal g ->
-      park t ~role:"checked" (fun () -> g.g_sealed);
-      commit t ?verify updates
     | `Leader g ->
-      lead t g;
-      Ok ()
+      let verdict =
+        lead t ?own:(Option.map (fun f -> (f, updates)) verify) g
+      in
+      maybe_auto_checkpoint t;
+      verdict
     | `Member m -> (
-      park t ~role:"member" (fun () -> not (is_pending m));
+      (* Park until the leader settles the group: one [update.join]. *)
+      let t0 = now () in
+      Sdb_check.Mu.lock t.gc_mutex;
+      while is_pending m do
+        Sdb_check.Mu.wait t.gc_cond t.gc_mutex
+      done;
+      Sdb_check.Mu.unlock t.gc_mutex;
+      if Trace.active () then
+        Trace.span "update.join"
+          ~attrs:[ ("app", App.name); ("role", "member") ]
+          ~start_s:t0 ~dur_s:(now () -. t0);
       match m.m_outcome with
       | M_committed _ -> Ok ()
       | M_failed e -> raise e
@@ -1114,31 +1096,21 @@ module Make (App : APP) = struct
   (* ---------------------------------------------------------------- *)
   (* Enquiries and updates                                             *)
 
-  let query t f =
-    check_usable t;
-    match t.epoch with
-    | Some e -> Epoch.read e f
-    | None ->
-      Vlock.with_lock t.lock Vlock.Shared (fun () ->
-          Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Shared
-            ~site:"query";
-          f t.state)
-  [@@sdb.acquires shared]
-
   let query_with_lsn t f =
     check_usable t;
-    match t.epoch with
-    | Some e ->
+    if persistent then
       (* Payload and LSN come from the same published version — the
          atomicity the locked route gets from holding Shared across
          both reads. *)
-      Epoch.read_with_lsn e f
-    | None ->
+      Epoch.read_with_lsn t.epoch f
+    else
       Vlock.with_lock t.lock Vlock.Shared (fun () ->
           Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Shared
-            ~site:"query_with_lsn";
+            ~site:"query";
           (f t.state, t.lsn))
   [@@sdb.acquires shared]
+
+  let query t f = fst (query_with_lsn t f) [@@sdb.acquires shared]
 
   let update_checked t ~precondition u = commit t ~verify:precondition [ u ]
 
@@ -1162,14 +1134,6 @@ module Make (App : APP) = struct
 
   let scan_page = 4096
 
-  let really_read r buf want =
-    let got = ref 0 in
-    let eof = ref false in
-    while (not !eof) && !got < want do
-      let n = r.Fs.r_read buf !got (want - !got) in
-      if n = 0 then eof := true else got := !got + n
-    done
-
   (* Scan one whole file for unreadable (media-damaged) ranges, page by
      page: a damaged page yields one finding and the scan resumes at
      the next page, so every distinct damage range is reported rather
@@ -1190,7 +1154,7 @@ module Make (App : APP) = struct
               let want = min scan_page (size - !off) in
               (match
                  r.Fs.r_seek !off;
-                 really_read r buf want
+                 ignore (really_read r buf want : int)
                with
               | () -> ()
               | exception Fs.Read_error { offset; reason; _ } ->
@@ -1229,145 +1193,135 @@ module Make (App : APP) = struct
       Some (acc, outcome)
 
   (* Re-read current (and retained previous) checkpoint + log under the
-     checkpoint mutex and the update lock — the same discipline as a
-     blocking checkpoint, so enquiries keep running while updates and
-     checkpoints wait.  With [repair] (and damage found), a fresh
-     generation is checkpointed from the known-good in-memory state and
-     the damaged files are dropped. *)
+     checkpoint mutex and the update lock, so enquiries keep running
+     while updates and checkpoints wait.  With [repair] (and damage
+     found), a fresh generation is checkpointed from the known-good
+     in-memory state, still under the checkpoint mutex, and the damaged
+     files are dropped. *)
   let scrub ?(repair = false) ?digest t =
     check_usable t;
     let t0 = now () in
-    Sdb_check.Mu.lock t.ckpt_mutex;
-    Fun.protect
-      ~finally:(fun () -> Sdb_check.Mu.unlock t.ckpt_mutex)
-      (fun () ->
-        Vlock.acquire t.lock Vlock.Update;
-        Fun.protect
-          ~finally:(fun () -> Vlock.release t.lock Vlock.Update)
-          (fun () ->
-            check_usable t;
-            Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
-              ~site:"scrub";
-            let gen = t.generation in
-            let ckpt = Store.checkpoint_file gen in
-            let log = Store.log_file gen in
-            let findings = ref [] in
-            let scanned = ref [] in
-            let note file = scanned := file :: !scanned in
-            (* 1. Media scan of every file of both generations. *)
-            note ckpt;
-            scan_file t ckpt findings;
-            note log;
-            scan_file t log findings;
-            let prev_ckpt = Store.checkpoint_file (gen - 1) in
-            let prev_log = Store.log_file (gen - 1) in
-            if gen > 0 && t.fs.Fs.exists prev_ckpt then begin
-              note prev_ckpt;
-              scan_file t prev_ckpt findings
-            end;
-            if gen > 0 && t.fs.Fs.exists prev_log then begin
-              note prev_log;
-              scan_file t prev_log findings;
-              ignore
-                (verify_log t prev_log findings ~init:() ~f:(fun () _ -> ())
-                  : (unit * _) option)
-            end;
-            (* 2. Shadow replay: decode the checkpoint, replay the log
-               into it, and cross-check the result against memory. *)
-            let replay_consistent = ref true in
-            (match load_checkpoint t.fs ckpt with
-            | exception Fs.Read_error _ ->
-              (* already reported by the media scan *)
-              replay_consistent := false
-            | Error reason ->
-              replay_consistent := false;
-              if not (List.exists (fun f -> String.equal f.file ckpt) !findings)
-              then findings := { file = ckpt; offset = 0; reason } :: !findings
-            | Ok (meta, shadow0) -> (
-              match
-                verify_log t log findings ~init:(shadow0, meta.base_lsn)
-                  ~f:(fun (st, lsn) entry ->
-                    let u =
-                      Pickle.decode App.codec_update entry.Wal.Reader.payload
-                    in
-                    (App.apply st u, lsn + 1))
-              with
-              | None -> replay_consistent := false
-              | Some ((shadow, shadow_lsn), outcome) ->
+    Sdb_check.Mu.with_lock t.ckpt_mutex (fun () ->
+        let findings, scanned, replay_consistent =
+          Vlock.with_lock t.lock Vlock.Update (fun () ->
+              check_usable t;
+              Sdb_check.assert_mode (Vlock.sanitizer t.lock) Sdb_check.Update
+                ~site:"scrub";
+              let gen = t.generation in
+              let ckpt = Store.checkpoint_file gen in
+              let log = Store.log_file gen in
+              let findings = ref [] in
+              (* 1. Media scan of every file of both generations. *)
+              let prev_log = Store.log_file (gen - 1) in
+              let scanned =
+                ckpt :: log
+                :: List.filter
+                     (fun f -> gen > 0 && t.fs.Fs.exists f)
+                     [ Store.checkpoint_file (gen - 1); prev_log ]
+              in
+              List.iter (fun f -> scan_file t f findings) scanned;
+              if List.mem prev_log scanned then
+                ignore
+                  (verify_log t prev_log findings ~init:() ~f:(fun () _ -> ())
+                    : (unit * _) option);
+              (* 2. Shadow replay: decode the checkpoint, replay the log
+                 into it, and cross-check the result against memory. *)
+              let replay_consistent = ref true in
+              (match load_checkpoint t.fs ckpt with
+              | exception Fs.Read_error _ ->
+                (* already reported by the media scan *)
+                replay_consistent := false
+              | Error reason ->
+                replay_consistent := false;
                 if
-                  outcome.Wal.Reader.skipped > 0
-                  || outcome.Wal.Reader.stopped_early <> None
-                then replay_consistent := false
-                else begin
-                  if shadow_lsn <> t.lsn then begin
-                    replay_consistent := false;
-                    findings :=
-                      {
-                        file = log;
-                        offset = outcome.Wal.Reader.valid_length;
-                        reason =
-                          Printf.sprintf
-                            "replay reaches lsn %d but memory is at lsn %d"
-                            shadow_lsn t.lsn;
-                      }
-                      :: !findings
-                  end;
-                  match digest with
-                  | Some d when !replay_consistent ->
-                    if not (String.equal (d shadow) (d t.state)) then begin
+                  not (List.exists (fun f -> String.equal f.file ckpt) !findings)
+                then findings := { file = ckpt; offset = 0; reason } :: !findings
+              | Ok (meta, shadow0, _bytes) -> (
+                match
+                  verify_log t log findings ~init:(shadow0, meta.base_lsn)
+                    ~f:(fun (st, lsn) entry ->
+                      let u =
+                        Pickle.decode App.codec_update entry.Wal.Reader.payload
+                      in
+                      (App.apply st u, lsn + 1))
+                with
+                | None -> replay_consistent := false
+                | Some ((shadow, shadow_lsn), outcome) ->
+                  if
+                    outcome.Wal.Reader.skipped > 0
+                    || outcome.Wal.Reader.stopped_early <> None
+                  then replay_consistent := false
+                  else begin
+                    if shadow_lsn <> t.lsn then begin
                       replay_consistent := false;
                       findings :=
                         {
-                          file = ckpt;
-                          offset = -1;
-                          reason = "replayed disk state digest differs from memory";
+                          file = log;
+                          offset = outcome.Wal.Reader.valid_length;
+                          reason =
+                            Printf.sprintf
+                              "replay reaches lsn %d but memory is at lsn %d"
+                              shadow_lsn t.lsn;
                         }
                         :: !findings
-                    end
-                  | _ -> ()
-                end))
-            ;
-            let findings = List.rev !findings in
-            Metrics.incr m_scrub_runs;
-            Metrics.add m_scrub_damage (List.length findings);
-            (* 3. Self-repair: memory is the known-good copy (§4 —
-               restore consistency by writing a fresh checkpoint from
-               it), then drop the damaged files the new generation no
-               longer references. *)
-            let repaired = ref false in
-            if repair && findings <> [] then begin
-              match checkpoint_locked t with
-              | () ->
-                repaired := true;
-                Metrics.incr m_scrub_repairs;
-                List.iter
-                  (fun (f : scrub_finding) ->
-                    if f.offset >= 0 && t.fs.Fs.exists f.file then
-                      try t.fs.Fs.remove f.file with Fs.Io_error _ -> ())
-                  findings
-              | exception Fs.No_space _ -> ()
-              (* repair needs headroom; report unrepaired, try later *)
-            end;
-            let report =
-              {
-                scanned_files = List.rev !scanned;
-                findings;
-                replay_consistent = !replay_consistent;
-                repaired = !repaired;
-                scrub_duration_s = now () -. t0;
-              }
-            in
-            t.last_scrub <- Some report;
-            if Trace.active () then
-              Trace.span "scrub"
-                ~attrs:
-                  [
-                    ("app", App.name);
-                    ("findings", string_of_int (List.length findings));
-                    ("repaired", string_of_bool !repaired);
-                  ]
-                ~start_s:t0 ~dur_s:report.scrub_duration_s;
-            report))
+                    end;
+                    match digest with
+                    | Some d when !replay_consistent ->
+                      if not (String.equal (d shadow) (d t.state)) then begin
+                        replay_consistent := false;
+                        findings :=
+                          {
+                            file = ckpt;
+                            offset = -1;
+                            reason =
+                              "replayed disk state digest differs from memory";
+                          }
+                          :: !findings
+                      end
+                    | _ -> ()
+                  end));
+              (List.rev !findings, scanned, !replay_consistent))
+        in
+        Metrics.incr m_scrub_runs;
+        Metrics.add m_scrub_damage (List.length findings);
+        (* 3. Self-repair: memory is the known-good copy (§4 — restore
+           consistency by writing a fresh checkpoint from it), then drop
+           the damaged files the new generation no longer references. *)
+        let repaired =
+          repair && findings <> []
+          &&
+          match checkpoint_held ~if_due:false t with
+          | () ->
+            Metrics.incr m_scrub_repairs;
+            List.iter
+              (fun (f : scrub_finding) ->
+                if f.offset >= 0 && t.fs.Fs.exists f.file then
+                  try t.fs.Fs.remove f.file with Fs.Io_error _ -> ())
+              findings;
+            true
+          | exception Fs.No_space _ ->
+            false (* repair needs headroom; report unrepaired, try later *)
+        in
+        let report =
+          {
+            scanned_files = scanned;
+            findings;
+            replay_consistent;
+            repaired;
+            scrub_duration_s = now () -. t0;
+          }
+        in
+        t.last_scrub <- Some report;
+        if Trace.active () then
+          Trace.span "scrub"
+            ~attrs:
+              [
+                ("app", App.name);
+                ("findings", string_of_int (List.length findings));
+                ("repaired", string_of_bool repaired);
+              ]
+            ~start_s:t0 ~dur_s:report.scrub_duration_s;
+        report)
 
   let last_scrub t = t.last_scrub
 
@@ -1443,45 +1397,34 @@ module Make (App : APP) = struct
           recovery = t.recovery;
         })
 
-  let fold_log t ~init ~f =
+  (* The current generation's updates from LSN [from] on ([None] when
+     the log no longer reaches back that far).  The update lock pins the
+     log file and its first LSN without blocking enquiries. *)
+  let fold_current t ?from ~init ~f () =
     check_usable t;
-    (* The update lock pins the log file name and the LSN base without
-       blocking enquiries. *)
     Vlock.with_lock t.lock Vlock.Update (fun () ->
-        let log = Store.log_file t.generation in
         let base = t.lsn - Wal.Writer.entries t.wal in
-        match
-          Wal.Reader.fold t.fs log ~fingerprint:update_fp
-            ~policy:Wal.Reader.Stop_at_damage ~init ~f:(fun acc entry ->
-              let u = Pickle.decode App.codec_update entry.Wal.Reader.payload in
-              f acc (base + entry.Wal.Reader.index) u)
-        with
-        | Ok (acc, _outcome) -> acc
-        | Error e -> Fs.io_fail ~op:"read" (Format.asprintf "%a" Wal.pp_error e))
+        let from = Option.value from ~default:base in
+        if from < base then None
+        else
+          match
+            fold_updates t.fs ~policy:Wal.Reader.Stop_at_damage ~first:base
+              ~log:(Store.log_file t.generation) ~init ~lsn:from f
+          with
+          | Ok (acc, _, _) -> Some acc
+          | Error e -> Fs.io_fail ~op:"read" e)
+
+  let fold_log t ~init ~f = Option.get (fold_current t ~init ~f ())
 
   let log_suffix t ~from =
-    check_usable t;
-    Vlock.with_lock t.lock Vlock.Update (fun () ->
-        let base = t.lsn - Wal.Writer.entries t.wal in
-        if from < base then None
-        else begin
-          let log = Store.log_file t.generation in
-          match
-            Wal.Reader.fold t.fs log ~fingerprint:update_fp
-              ~policy:Wal.Reader.Stop_at_damage ~init:[] ~f:(fun acc entry ->
-                let lsn = base + entry.Wal.Reader.index in
-                if lsn >= from then
-                  (lsn, Pickle.decode App.codec_update entry.Wal.Reader.payload) :: acc
-                else acc)
-          with
-          | Ok (acc, _outcome) -> Some (List.rev acc)
-          | Error e -> Fs.io_fail ~op:"read" (Format.asprintf "%a" Wal.pp_error e)
-        end)
+    fold_current t ~from ~init:[] ~f:(fun acc lsn u -> (lsn, u) :: acc) ()
+    |> Option.map List.rev
 
   module History = struct
     (* The archive is usable only when it is contiguous from the very
        first generation and meets the current log exactly: archive logs
-       0..g-1 followed by the live log of generation g. *)
+       0..g-1 followed by the live log of generation g, each with its
+       first LSN when recorded (unrecorded logs never overlap). *)
     let plan t =
       let archives = Store.archived_logs t.fs in
       let expected = List.init (List.length archives) Fun.id in
@@ -1493,74 +1436,61 @@ module Make (App : APP) = struct
              "history: %d archived logs but current generation is %d (archiving \
               was off at some point)"
              (List.length archives) t.generation)
-      else Ok (List.map snd archives @ [ Store.log_file t.generation ])
-
-    (* Fold [f] over one log file; damage or truncation in an archive is
-       corruption of history, not a recoverable tail. *)
-    let fold_file t ~log ~strict acc lsn f =
-      match
-        Wal.Reader.fold t.fs log ~fingerprint:update_fp
-          ~policy:Wal.Reader.Stop_at_damage ~init:(acc, lsn)
-          ~f:(fun (acc, lsn) entry ->
-            let u = Pickle.decode App.codec_update entry.Wal.Reader.payload in
-            (f acc lsn u, lsn + 1))
-      with
-      | Error e -> Error (Format.asprintf "history: %s: %a" log Wal.pp_error e)
-      | Ok ((acc, lsn), outcome) ->
-        if strict && outcome.Wal.Reader.stopped_early <> None then
-          Error (Printf.sprintf "history: archived log %s is damaged" log)
-        else Ok (acc, lsn)
-      | exception Pickle.Error m -> Error (Printf.sprintf "history: %s: %s" log m)
+      else
+        let live = t.lsn - Wal.Writer.entries t.wal in
+        match List.map (fun (n, log) -> (log, Store.log_base t.fs n)) archives with
+        | archived -> Ok (archived @ [ (Store.log_file t.generation, Some live) ])
+        | exception ((Fs.Read_error _ | Fs.Io_error _) as e) ->
+          Error ("history: log base unreadable: " ^ Fs.describe_exn e)
 
     let fold_all t ~init ~f =
       check_usable t;
       Vlock.with_lock t.lock Vlock.Update (fun () ->
-          match plan t with
-          | Error e -> Error e
-          | Ok logs ->
-            let current = Store.log_file t.generation in
-            let rec go acc lsn = function
-              | [] -> Ok (acc, lsn)
-              | log :: rest -> (
+          let live = Store.log_file t.generation in
+          let fold_log acc (log, first) =
+            Result.bind acc (fun (acc, next) ->
                 match
-                  fold_file t ~log ~strict:(not (String.equal log current)) acc lsn f
+                  fold_updates t.fs ~policy:Wal.Reader.Stop_at_damage ?first ~log
+                    ~init:acc ~lsn:next f
                 with
-                | Error e -> Error e
-                | Ok (acc, lsn) -> go acc lsn rest)
-            in
-            go init 0 logs)
-
-    let available t =
-      match fold_all t ~init:() ~f:(fun () _ _ -> ()) with
-      | Ok ((), lsn) -> lsn = t.lsn
-      | Error _ -> false
+                | Error e -> Error ("history: " ^ e)
+                (* Damage or truncation in an archive is corruption of
+                   history, not a recoverable tail. *)
+                | Ok (_, _, o)
+                  when o.Wal.Reader.stopped_early <> None
+                       && not (String.equal log live) ->
+                  Error (Printf.sprintf "history: archived log %s is damaged" log)
+                | Ok (acc, next, _) -> Ok (acc, next))
+          in
+          Result.bind (plan t) (List.fold_left fold_log (Ok (init, 0))))
 
     let fold t ~init ~f =
-      match fold_all t ~init ~f with
-      | Ok (acc, lsn) ->
-        if lsn <> t.lsn then
-          Error
-            (Printf.sprintf "history: trail holds %d updates but lsn is %d" lsn t.lsn)
-        else Ok acc
-      | Error e -> Error e
+      Result.bind (fold_all t ~init ~f) (fun (acc, lsn) ->
+          if lsn = t.lsn then Ok acc
+          else
+            Error
+              (Printf.sprintf "history: trail holds %d updates but lsn is %d" lsn t.lsn))
+
+    let available t = Result.is_ok (fold t ~init:() ~f:(fun () _ _ -> ()))
 
     let state_at t ~lsn =
       if lsn < 0 || lsn > t.lsn then
         Error (Printf.sprintf "history: lsn %d outside [0, %d]" lsn t.lsn)
       else
-        match
-          fold_all t ~init:(App.init ()) ~f:(fun state at u ->
-              if at < lsn then App.apply state u else state)
-        with
-        | Ok (state, total) ->
-          if total < lsn then Error "history: trail shorter than requested lsn"
-          else Ok state
-        | Error e -> Error e
+        Result.bind
+          (fold_all t ~init:(App.init ()) ~f:(fun state at u ->
+               if at < lsn then App.apply state u else state))
+          (fun (state, total) ->
+            if total < lsn then Error "history: trail shorter than requested lsn"
+            else Ok state)
   end
 
   let close t =
     if not t.closed then begin
       stop_scrubber t;
+      (* A checkpoint in flight finishes first, so none commits behind
+         a closed instance. *)
+      Sdb_check.Mu.with_lock t.ckpt_mutex @@ fun () ->
       Vlock.acquire t.lock Vlock.Update;
       (* a non-Io_error exception from the WAL close (e.g. an injected
          fault) must not strand the Update mode *)

@@ -9,18 +9,20 @@
     commit point — and (3) applies itself to the in-memory state.
     Restart loads the checkpoint and replays the log.
 
-    Concurrency follows the paper's three-mode locking: enquiries hold
-    a shared lock; steps (1) and (2) run under the update lock — so
-    enquiries keep running during the disk write — and only step (3)
-    upgrades to exclusive; a checkpoint holds the update lock for its
-    whole duration.  Concurrent updates share step (2): one log write
-    and one fsync commit every update in flight (see {!Make.update_checked}).
+    Concurrency follows the paper's three-mode locking: steps (1) and
+    (2) run under the update lock — so enquiries keep running during
+    the disk write — and only step (3) upgrades to exclusive.
+    Concurrent updates share step (2): one log write and one fsync
+    commit every update in flight (see {!Make.update_checked}).  How
+    enquiries read and what a checkpoint excludes follow from one
+    declaration, {!APP.state_kind}.
 
     Instantiate {!Make} with an application: its state and update
-    types, their pickles, and the (total, deterministic) [apply]
-    function.  [apply] must succeed on any update that was committed;
-    verify preconditions with {!Make.update_checked} {e before} the
-    commit, never inside [apply]. *)
+    types, their pickles, the kind of its state, and the (total,
+    deterministic) [apply] function.  [apply] must succeed on any
+    update that was committed; verify preconditions with
+    {!Make.update_checked} {e before} the commit, never inside
+    [apply]. *)
 
 module type APP = sig
   type state
@@ -28,6 +30,18 @@ module type APP = sig
 
   val name : string
   (** Recorded in checkpoint metadata; distinguishes stores. *)
+
+  val state_kind : [ `Persistent | `Mutable ]
+  (** [`Persistent]: [apply] never mutates its argument but returns a
+      new version sharing what it did not touch (a [Map], a
+      path-copied tree).  Enquiries read the latest committed version
+      lock-free ([Sdb_epoch]); a checkpoint snapshots it in O(1).
+      [`Mutable]: [apply] may change the state in place (a [Hashtbl],
+      the paper's case).  Enquiries hold the lock in Shared mode and a
+      checkpoint pickles under the update lock.  Declaring a mutable
+      state [`Persistent] is a data race; under [SDB_SANITIZE=1] a
+      checkpoint that finds its snapshot changed reports an ["epoch"]
+      violation.  Stores do not record the kind. *)
 
   val codec_state : state Sdb_pickle.Pickle.t
   val codec_update : update Sdb_pickle.Pickle.t
@@ -63,27 +77,11 @@ type config = {
   archive_logs : bool;
       (** keep superseded logs as [archive-logfile<N>] — §4's complete
           audit trail, consumed through {!Make.History} *)
-  read_path : [ `Locked | `Epoch ];
-      (** [`Locked] (the default): every enquiry holds the Vlock in
-          Shared mode — the paper's protocol, and the baseline.
-          [`Epoch]: enquiries run lock-free against an epoch-published
-          snapshot ([Sdb_epoch]): the writer swings an atomic version
-          pointer inside its Exclusive window, a reader enters an
-          epoch, loads the pointer, and queries that immutable version
-          with no lock traffic at all; retired versions are reclaimed
-          once every reader has moved past them.  {b Requires
-          [App.state] to be persistent} (path-copied, like
-          [Ns_data.pnode] or a [Map]) — a mutable state would be
-          shared, bare, with readers in other domains.  WAL,
-          commit groups, checkpointing and replication are unchanged;
-          the fsync remains the commit point, and a version is
-          published only after it commits. *)
 }
 
 val default_config : config
 (** [retain_previous = false], [Manual], [`Stop_at_damage],
-    [hard_error_fallback = true], [archive_logs = false],
-    [read_path = `Locked].
+    [hard_error_fallback = true], [archive_logs = false].
 
     There is no commit tuning: every update commits through one group
     coordinator (DESIGN.md §4d) whose linger is bounded by the engine's
@@ -174,15 +172,16 @@ module Make (App : APP) : sig
   val open_exn : ?config:config -> Sdb_storage.Fs.t -> t
 
   val query : t -> (App.state -> 'a) -> 'a
-  (** Run an enquiry under the shared lock.  The function must not
-      mutate the state and must not call back into this [t] (the lock
-      is not re-entrant: a nested acquire can deadlock against a
-      pending upgrade). *)
+  (** Run an enquiry: against the latest published version, lock-free,
+      for a [`Persistent] state; under the shared lock for a
+      [`Mutable] one.  The function must not mutate the state and must
+      not call back into this [t] (the lock is not re-entrant: a
+      nested acquire can deadlock against a pending upgrade). *)
 
   val query_with_lsn : t -> (App.state -> 'a) -> 'a * int
-  (** Like {!query} but also returns the LSN the answer reflects, read
-      under the same lock hold — the consistent (snapshot, position)
-      pairs replication is built from. *)
+  (** Like {!query} but also returns the LSN the answer reflects, from
+      the same version (or the same lock hold) — the consistent
+      (snapshot, position) pairs replication is built from. *)
 
   val update : t -> App.update -> unit
   (** Commit and apply one update.  Alone it costs one log write and
@@ -201,12 +200,14 @@ module Make (App : APP) : sig
       are serial: [precondition] sees the state with every update
       committed before this one applied — never a state that misses an
       update staged ahead of it.  (A checked update therefore never
-      joins a group that is already forming; it waits for that group
-      to be sealed and then verifies against its applied result.)
+      joins a group that is already forming: it opens one of its own,
+      closing the forming one to joiners, and verifies when its group
+      is sealed.  Groups commit in formation order, so a flood of
+      plain updates keeps it waiting for at most two groups.)
 
       Exception safety (poison-vs-release, see DESIGN.md): a
       [precondition] or pickler that {e raises} propagates with the
-      lock released and the engine untouched and usable — nothing
+      lock released and the engine usable — nothing of this update
       reached the disk — and fails only this call.  A failure in the
       log append or fsync fails every member of the group with the
       §4b/§4c taxonomy: [Degraded] on no-space (nothing committed,
@@ -226,34 +227,30 @@ module Make (App : APP) : sig
       contract as {!update_checked}.  An empty batch commits nothing. *)
 
   val checkpoint : t -> unit
-  (** Write a checkpoint and reset the log.  Holds the update lock for
-      the duration (enquiries proceed, updates wait).
+  (** Write a checkpoint and start a new log in three phases, so that
+      updates are excluded only as long as the state kind requires
+      (§7's first availability limit):
+      + under the update lock, capture the snapshot, its LSN and log
+        offset: a [`Persistent] state itself (O(1)), a [`Mutable] one's
+        pickle;
+      + with no lock held, pickle a persistent snapshot, write and
+        fsync the checkpoint, create the new log;
+      + under the update lock, copy the entries committed since the
+        snapshot into the new log and commit the switch.
 
-      Runs out of disk space cleanly: {!Sdb_storage.Fs.No_space} before
-      the commit point scraps the partial new generation and leaves the
-      engine fully usable on the old one (no poison).  A successful
-      checkpoint also exits {!Degraded} mode, since the fresh empty log
-      is what reclaims space. *)
+      Enquiries run throughout.  The new log opens with the updates
+      the checkpoint does not cover; with [archive_logs] or
+      [retain_previous] its first LSN is recorded, so {!History} and
+      the hard-error fallback skip what the older log also holds.
 
-  val checkpoint_concurrent : t -> unit
-  (** A fuzzy checkpoint that does {e not} exclude updates while the
-      state is pickled — addressing the paper's first availability
-      limitation (§7: "the time required for making a checkpoint (when
-      updates are excluded)").
-
-      Three phases: grab the state pointer and LSN under a brief shared
-      lock; pickle and write the checkpoint file with {e no} lock held;
-      then, under a brief update lock, start the new generation's log,
-      copy into it the few entries committed while pickling ran, and
-      commit the switch.  Update unavailability is proportional to the
-      updates that arrived during the pickle, not to the database size.
-
-      Requires [App.state] to be {e immutable}: [apply] must return a
-      new value and never mutate its argument, or the pickled snapshot
-      would tear.  (The paper's hash-table name server does not
-      qualify; a [Map]-based application does.)  Incompatible with
-      [archive_logs] (the copied tail would duplicate history);
-      raises [Invalid_argument] in that configuration. *)
+      {!Sdb_storage.Fs.No_space} before the commit point scraps the new
+      generation and leaves the engine usable on the old one; an engine
+      poisoned meanwhile raises {!Poisoned} before the switch; a
+      successful checkpoint exits {!Degraded} mode, since the fresh log
+      is what reclaims space.  Under a checkpoint policy the updater
+      whose group crosses the threshold checkpoints after leaving the
+      commit slot, so the next group commits meanwhile; it does not
+      wait for a checkpoint already in progress. *)
 
   val stats : t -> stats
 
@@ -270,9 +267,9 @@ module Make (App : APP) : sig
   (** Re-read the current (and retained previous) checkpoint + log and
       verify them end to end: a page-wise media scan of every file, a
       CRC check of every log frame, and a shadow replay of checkpoint +
-      log cross-checked against the live state.  Runs under the same
-      lock discipline as a blocking checkpoint: enquiries keep running,
-      updates and checkpoints wait.
+      log cross-checked against the live state.  Holds the update lock
+      while it reads: enquiries keep running, updates and checkpoints
+      wait.
 
       [digest] enables the memory cross-check; it must be {e canonical}
       (equal states give equal strings — a plain pickle of a hash table
@@ -345,7 +342,9 @@ module Make (App : APP) : sig
       t -> init:'acc -> f:('acc -> int -> App.update -> 'acc) ->
       ('acc, string) result
     (** Every committed update of the store's lifetime, in LSN order,
-        across all archived logs and the current one. *)
+        across all archived logs and the current one, each exactly
+        once: where a log opens with entries its predecessor also holds
+        (see {!checkpoint}), the repeats are skipped. *)
 
     val state_at : t -> lsn:int -> (App.state, string) result
     (** Reconstruct the database as it stood after the first [lsn]
@@ -354,8 +353,9 @@ module Make (App : APP) : sig
   end
 
   val close : t -> unit
-  (** Close file handles.  No checkpoint is taken; the log is the
-      authoritative tail, exactly as after a crash. *)
+  (** Close file handles, after a checkpoint in flight.  No checkpoint
+      is taken; the log is the authoritative tail, exactly as after a
+      crash. *)
 
   (** A larger database split into independent partitions for the
       purpose of writing checkpoints — §7: "we could either use

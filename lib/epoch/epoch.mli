@@ -9,9 +9,11 @@
 
     The payload must be {e immutable} (persistent, path-copied): a
     published version is shared with every concurrent reader, in other
-    domains included, so mutating it is a data race.  This is the same
-    contract [checkpoint_concurrent] documents, now load-bearing for
-    every query. *)
+    domains included, so mutating it is a data race.  The engine
+    publishes only states whose application declares them
+    [`Persistent] ([Smalldb.APP.state_kind]); the same declaration
+    lets a checkpoint snapshot the published version without a
+    lock. *)
 
 type 'a t
 

@@ -29,15 +29,16 @@ let codec_update =
 
 (* The state is the persistent tree: [apply] path-copies, building the
    next version in O(depth · log fanout) and sharing everything it did
-   not touch with the previous one.  That is what lets the engine
-   publish versions to the lock-free read path (config.read_path =
-   `Epoch) — and it makes checkpoint_concurrent's immutability
-   requirement hold by construction. *)
+   not touch with the previous one.  Hence the [`Persistent]
+   declaration: enquiries read published versions lock-free, and a
+   checkpoint snapshots the root in O(1) and pickles it while updates
+   keep committing. *)
 module App = struct
   type state = Ns_data.pnode
   type nonrec update = update
 
   let name = "nameserver"
+  let state_kind = `Persistent
   let codec_state = Ns_data.codec_pnode
   let codec_update = codec_update
   let init () = Ns_data.empty_pnode

@@ -21,15 +21,16 @@ type update =
   | Delete_subtree of Name_path.t
   | Create of Name_path.t  (** ensure a (valueless) node exists *)
 
+val codec_path : Name_path.t Sdb_pickle.Pickle.t
 val codec_update : update Sdb_pickle.Pickle.t
 
 module App :
   Smalldb.APP with type state = Ns_data.pnode and type update = update
 (** The state is the {e persistent} tree ({!Ns_data.pnode}): [apply]
     path-copies, so each committed version is immutable and shares all
-    untouched subtrees with its predecessor — the property the
-    lock-free read path ([read_path = `Epoch]) and concurrent
-    checkpoints require. *)
+    untouched subtrees with its predecessor.  It is declared
+    [`Persistent]: enquiries read lock-free and checkpoints do not
+    exclude updates while they pickle and write. *)
 
 module Db : module type of Smalldb.Make (App)
 

@@ -70,9 +70,9 @@ val weight_bytes : node -> int
     builds the next version by copying only the path it touches
     (O(depth · log fanout)), sharing every untouched subtree with the
     previous version.  That makes versions immutable — the property
-    the epoch-published read path ([Sdb_epoch]) and concurrent
-    checkpoints rely on: a published root can be read from any domain
-    with no lock while the writer builds its successor. *)
+    the epoch-published read path ([Sdb_epoch]) and the O(1)
+    checkpoint snapshot rely on: a published root can be read from any
+    domain with no lock while the writer builds its successor. *)
 
 module Smap : Map.S with type key = string
 

@@ -910,8 +910,8 @@ let magic = "SDBP1"
 (* Header and body go into one buffer, and the body is decoded where it
    lies: a checkpoint-sized value is neither copied into a second
    buffer on the way out nor cut out of the file image on the way in. *)
-let to_string codec v =
-  let buf = Buffer.create 256 in
+let to_string ?(size_hint = 256) codec v =
+  let buf = Buffer.create (max 16 size_hint) in
   Buffer.add_string buf magic;
   Buffer.add_string buf (fingerprint codec);
   encode_into buf codec v;

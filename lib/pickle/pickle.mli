@@ -192,9 +192,12 @@ val decode : 'a t -> string -> 'a
 
 val decode_result : 'a t -> string -> ('a, string) result
 
-val to_string : 'a t -> 'a -> string
+val to_string : ?size_hint:int -> 'a t -> 'a -> string
 (** Self-contained: magic, fingerprint, then the value, encoded into
-    one buffer. *)
+    one buffer of [size_hint] bytes to start with (default 256).  A
+    caller that knows roughly how large the result will be — a
+    checkpoint, sized by the previous one — saves the buffer's
+    doublings. *)
 
 val of_string : 'a t -> string -> ('a, string) result
 (** Checks magic and fingerprint before decoding the body in place.

@@ -2,7 +2,7 @@ module P = Sdb_pickle.Pickle
 module Ns = Sdb_nameserver.Nameserver
 module Ns_data = Sdb_nameserver.Ns_data
 
-let codec_path = P.conv ~name:"ns.path" Fun.id Fun.id (P.list P.string)
+let codec_path = Ns.codec_path
 let codec_value = P.option P.string
 let codec_tree = Ns_data.codec_tree
 let codec_update = Ns.codec_update

@@ -6,6 +6,10 @@
     plus the two replica-support calls ([snapshot], [updates_since])
     that §4's restore-from-replica and propagation are built on. *)
 
+val codec_path : Sdb_nameserver.Name_path.t Sdb_pickle.Pickle.t
+val codec_value : string option Sdb_pickle.Pickle.t
+(** The wire codecs of a name and of a value. *)
+
 val handlers : Sdb_nameserver.Nameserver.t -> Rpc.Server.handler list
 (** All procedures, bound to one local name server instance. *)
 

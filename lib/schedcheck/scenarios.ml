@@ -167,27 +167,17 @@ let upgrade_vs_readers_broken () =
 
 (* ------------------------------------------------------------------ *)
 
-(* The commit coordinator of lib/core (DESIGN.md §4d).  The last
-   updater is checked: its verify reads the shared state under Update,
-   so it must never join a forming group — it waits until that group
-   is sealed and retries.  The leader's linger is modeled with its exit
-   rule: it looks again while a group member may still come (an
-   updater queued on Update, or a group smaller than the last one)
-   unless a checked updater awaits the seal; a bound on looks stands in
-   for the last-flush deadline.  The Update lock is a one-step token here (the
-   lock scenarios above exhaust the Vlock protocol itself), which keeps
-   the space small enough to exhaust at three updaters.  With
-   [serial:false] the checked updater joins like any other — the bug
-   the serial rule exists to prevent. *)
+(* The commit coordinator of lib/core (DESIGN.md §4d), as the mli
+   describes it.  With [serial:false] the checked updater verifies and
+   joins like any other — the bug the serial rule exists to prevent. *)
 type model_group = {
   mutable mg_members : int list;  (* join order *)
-  mutable mg_sealed : bool;
-  mutable mg_awaited : bool;
+  mg_ticket : int;  (* formation order, in which groups commit *)
 }
 
 let linger_looks = 2
 
-let group_commit_model ~serial ~updaters () =
+let group_commit_model ?checkpoint ~serial ~updaters () =
   let update_held = ref false and update_queued = ref 0 in
   (* Take Update and run [f] under it as one scheduling point: between
      acquiring Update and the next blocking call the coordinator only
@@ -206,22 +196,21 @@ let group_commit_model ~serial ~updaters () =
   let gc_m = Schedcheck.Mutex.create "gc.mutex" in
   let gc_c = Schedcheck.Cond.create "gc.cond" in
   let forming = ref None in
-  let committing = ref false in
+  let is_forming g = match !forming with Some f -> f == g | None -> false in
+  let opened = ref 0 and serving = ref 0 in
   let last_joined = ref 1 in
-  let staged = ref 0 and applied = ref 0 in
-  let next_lsn = ref 0 in
-  let flushes = ref 0 in
+  let next_lsn = ref 0 and verified_at = ref 0 in
+  let flushes = ref 0 and logged = ref 0 in
   let groups = ref 0 in
   let lsn = Array.make updaters 0 in
   let woken = Array.make updaters false in
   let checked = updaters - 1 in
-  let lead g =
-    (* Claim the ordered commit slot. *)
+  let lead ~own g =
+    (* Wait for the commit slot to reach this group's ticket. *)
     Schedcheck.Mutex.lock gc_m;
-    while !committing do
+    while !serving <> g.mg_ticket do
       Schedcheck.Cond.wait gc_c gc_m
     done;
-    committing := true;
     Schedcheck.Mutex.unlock gc_m;
     (* Linger, Update not held, so joiners can verify and join. *)
     let rec linger looks =
@@ -229,77 +218,94 @@ let group_commit_model ~serial ~updaters () =
         let again = ref false in
         Schedcheck.Mutex.atomically gc_m "linger.look" (fun () ->
             again :=
-              (not g.mg_awaited)
-              && (List.length g.mg_members < !last_joined || !update_queued > 0));
+              is_forming g
+              && (List.length g.mg_members + Bool.to_int own < !last_joined
+                 || !update_queued > 0));
         if !again then linger (looks - 1)
       end
     in
     linger linger_looks;
-    (* Seal under Update; Update stays held through the apply. *)
+    (* Seal under Update; Update stays held through the apply.  A
+       checked leader verifies here, first in its group. *)
     let members = ref [] in
     under_update "seal" (fun () ->
-        forming := None;
-        g.mg_sealed <- true;
-        members := g.mg_members);
+        if is_forming g then forming := None;
+        if own then verified_at := !next_lsn;
+        members := (if own then [ checked ] else []) @ g.mg_members);
     incr groups;
-    check !committing "group-commit: flush outside the commit slot";
+    check (!serving = g.mg_ticket) "group-commit: flush outside the commit slot";
     Schedcheck.yield "fsync";
     incr flushes;
+    logged := !logged + List.length !members;
     last_joined := List.length !members;
     List.iter
       (fun m ->
+        if m = checked then
+          check (!next_lsn = !verified_at)
+            "group-commit: checked verify missed an update staged before it";
         incr next_lsn;
-        incr applied;
         lsn.(m) <- !next_lsn)
       !members;
     release_update ();
     Schedcheck.Mutex.atomically gc_m "wake" (fun () ->
-        committing := false;
+        incr serving;
         List.iter (fun m -> woken.(m) <- true) !members);
     Schedcheck.Cond.broadcast gc_c
   in
-  let rec updater i () =
+  let updater i () =
+    let own = serial && i = checked in
     let step = ref `Member in
     under_update "verify+join" (fun () ->
-        match !forming with
-        | Some g when serial && i = checked ->
-          (* Never join a non-empty group. *)
-          g.mg_awaited <- true;
-          step := `Await g
-        | _ ->
+        let open_group members =
+          let g = { mg_members = members; mg_ticket = !opened } in
+          incr opened;
+          forming := Some g;
+          step := `Lead g
+        in
+        if own then open_group []
+        else begin
           (* Verify: reads the shared state under Update. *)
-          if i = checked then
-            check (!applied = !staged)
-              "group-commit: checked verify missed an update staged before it";
-          incr staged;
-          (match !forming with
+          if i = checked then verified_at := !next_lsn;
+          match !forming with
           | Some g -> g.mg_members <- g.mg_members @ [ i ]
-          | None ->
-            let g = { mg_members = [ i ]; mg_sealed = false; mg_awaited = false } in
-            forming := Some g;
-            step := `Lead g));
+          | None -> open_group [ i ]
+        end);
     release_update ();
     match !step with
-    | `Await g ->
-      (* Wait for the seal, then retry. *)
-      Schedcheck.Mutex.lock gc_m;
-      while not g.mg_sealed do
-        Schedcheck.Cond.wait gc_c gc_m
-      done;
-      Schedcheck.Mutex.unlock gc_m;
-      updater i ()
-    | `Lead g -> lead g
+    | `Lead g -> lead ~own g
     | `Member ->
       (* Park until the leader publishes my outcome. *)
       Schedcheck.step "park" ~enabled:(fun () -> woken.(i));
       check (lsn.(i) > 0) "group-commit: woken without an assigned LSN"
+  in
+  (* The checkpoint's three phases: capture LSN and log offset under
+     Update, write unlocked, carry the tail over under Update.  The
+     seeded bug [`Offset_late] reads the offset after releasing Update. *)
+  let checkpointer late () =
+    let snap_lsn = ref 0 and snap_off = ref 0 in
+    under_update "ckpt.capture" (fun () ->
+        snap_lsn := !next_lsn;
+        if not late then snap_off := !logged);
+    release_update ();
+    if late then Schedcheck.step "ckpt.offset" ~run:(fun () -> snap_off := !logged);
+    Schedcheck.yield "ckpt.write";
+    under_update "ckpt.switch" (fun () ->
+        check
+          (!snap_lsn + (!logged - !snap_off) = !next_lsn)
+          "checkpoint: new generation misses or repeats a committed update");
+    release_update ()
+  in
+  let checkpointer =
+    match checkpoint with
+    | None -> []
+    | Some kind -> [ ("checkpointer", checkpointer (kind = `Offset_late)) ]
   in
   Schedcheck.scenario
     ~invariant:(fun () ->
       check (!update_queued >= 0) "group-commit: negative Update queue")
     ~finale:(fun () ->
       check (not !update_held) "group-commit: Update still held at end";
-      check (not !committing) "group-commit: commit slot still held at end";
+      check (!serving = !opened) "group-commit: commit slot still held at end";
       check (!forming = None) "group-commit: members left in a forming group";
       check (!flushes = !groups) "group-commit: one flush per group violated";
       check (!next_lsn = updaters) "group-commit: LSNs not dense";
@@ -313,11 +319,18 @@ let group_commit_model ~serial ~updaters () =
       check
         (sorted = List.init updaters (fun i -> i + 1))
         "group-commit: duplicate or out-of-range LSN")
-    (List.init updaters (fun i -> (Printf.sprintf "updater%d" i, updater i)))
+    (List.init updaters (fun i -> (Printf.sprintf "updater%d" i, updater i))
+    @ checkpointer)
 
 let group_commit ~updaters () = group_commit_model ~serial:true ~updaters ()
 
 let group_commit_unserial () = group_commit_model ~serial:false ~updaters:2 ()
+
+let checkpoint_vs_group_commit ~updaters () =
+  group_commit_model ~checkpoint:`Phased ~serial:true ~updaters ()
+
+let checkpoint_offset_late () =
+  group_commit_model ~checkpoint:`Offset_late ~serial:true ~updaters:2 ()
 
 (* ------------------------------------------------------------------ *)
 

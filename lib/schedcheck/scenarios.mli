@@ -39,24 +39,35 @@ val upgrade_vs_readers_broken : unit -> Schedcheck.scenario
 
 val group_commit : updaters:int -> unit -> Schedcheck.scenario
 (** The commit coordinator (DESIGN.md §4d): verify and join a forming
-    group under Update, leader claims the ordered commit slot, lingers
-    by the shipped exit rule (looks again only while an updater is
-    queued on Update or the group is smaller than the last one, never
-    while a checked updater awaits the seal; a bound on looks stands in
-    for the last-flush deadline), seals under Update, flushes once,
-    upgrades to apply with dense LSNs, wakes parked members.  The last
-    updater is checked: it never joins a non-empty group but waits for
-    the seal and retries, and its verify, reading the shared state
-    under Update, must see every update staged before it.  Checks:
-    serial verification, one flush per group, commit-slot exclusivity,
-    dense LSN assignment, every member woken with an outcome, Update
-    released at the end.  Update is a one-step token here; the lock
-    scenarios above exhaust the Vlock protocol itself. *)
+    group under Update; the leader waits for the commit slot to reach
+    its group (formation order), lingers by the shipped exit rule
+    (looks again only while its group still takes joiners and an
+    updater is queued on Update or the group is smaller than the last
+    one; a bound on looks stands in for the last-flush deadline), seals
+    under Update, flushes once, upgrades to apply with dense LSNs,
+    wakes parked members.  The last updater is checked: it opens a
+    group of its own, closing the forming one to joiners, and verifies
+    at its seal, first in its group; its verify, reading the shared
+    state under Update, must see every update staged before it.
+    Checks: serial verification, one flush per group, commit-slot
+    exclusivity, dense LSN assignment, every member woken with an
+    outcome, Update released at the end.  Update is a one-step token
+    here; the lock scenarios above exhaust the Vlock protocol
+    itself. *)
 
 val group_commit_unserial : unit -> Schedcheck.scenario
 (** Detector of the detector: two updaters, the checked one joining a
     forming group like any other.  The explorer must find a schedule
     where its verify misses an update staged before it. *)
+
+val checkpoint_vs_group_commit : updaters:int -> unit -> Schedcheck.scenario
+(** {!group_commit} plus the checkpoint's three phases.  Checks that
+    the new generation (snapshot plus carried tail) holds every
+    committed update exactly once. *)
+
+val checkpoint_offset_late : unit -> Schedcheck.scenario
+(** Detector of the detector: the checkpointer reads the log offset
+    after releasing Update; a group committing in between is lost. *)
 
 val replica_outbox : pushes:int -> capacity:int -> unit -> Schedcheck.scenario
 (** The bounded per-peer outbox hand-off ([lib/replica]): a committer

@@ -165,7 +165,8 @@ let sub fs prefix =
    requests the disk counters (and the cost model built on them) have
    always seen.  A full buffer is confirmed by one more read, as any
    read-to-EOF loop ends, so a file that grew after it was opened is
-   still read to its end. *)
+   still read to its end; that read needs one byte of room, not a
+   chunk's. *)
 let read_file fs file =
   let r = fs.open_reader file in
   let chunk = 65536 in
@@ -175,8 +176,8 @@ let read_file fs file =
       if n = 0 then Bytes.sub_string buf 0 len else fill buf (len + n)
     end
     else begin
-      let spare = Bytes.create chunk in
-      let n = r.r_read spare 0 chunk in
+      let spare = Bytes.create 1 in
+      let n = r.r_read spare 0 1 in
       if n = 0 then Bytes.unsafe_to_string buf
       else begin
         let bigger = Bytes.extend buf 0 (max len chunk) in

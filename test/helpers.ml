@@ -26,6 +26,7 @@ module KV = struct
   type update = Set of string * string | Del of string
 
   let name = "test-kv"
+  let state_kind = `Mutable
   let codec_state = P.hashtbl P.string P.string
 
   let codec_update =
@@ -81,6 +82,26 @@ let sequenced_prefix db =
       check Alcotest.string "prefix value" (sequenced_value i) v)
     bindings;
   n
+
+(* A view of [fs] that runs the armed action, once, when the next
+   checkpoint file is created.  An update committed there lands in a
+   checkpoint's second phase (written with no lock held) — the race
+   between a checkpoint and the updates it must carry over, made
+   deterministic. *)
+let racing_fs fs =
+  let armed = ref None in
+  let is_checkpoint name =
+    String.length name > 10 && String.equal (String.sub name 0 10) "checkpoint"
+  in
+  let create name =
+    (match !armed with
+    | Some action when is_checkpoint name ->
+      armed := None;
+      action ()
+    | _ -> ());
+    fs.Fs.create name
+  in
+  ({ fs with Fs.create }, armed)
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest

@@ -31,6 +31,7 @@ module KV = struct
   type update = Set of string * string
 
   let name = "chaos-kv"
+  let state_kind = `Mutable
   let codec_state = P.hashtbl P.string P.string
 
   let codec_update =

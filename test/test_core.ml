@@ -141,6 +141,7 @@ let test_apply_failure_poisons () =
     type update = Ok_up | Boom
 
     let name = "bomb"
+    let state_kind = `Mutable
     let codec_state = P.ref_cell P.int
 
     let codec_update =
@@ -200,6 +201,7 @@ module Fragile = struct
   type update = string * string
 
   let name = "fragile-kv"
+  let state_kind = `Mutable
   let codec_state = P.hashtbl P.string P.string
 
   let codec_update =
@@ -386,6 +388,7 @@ let test_foreign_app_rejected () =
     type update = int
 
     let name = "other-app"
+    let state_kind = `Mutable
     let codec_state = P.list P.int
     let codec_update = P.int
     let init () = []
@@ -612,22 +615,37 @@ let test_history_survives_crash_mid_checkpoint () =
 
 (* History property: with archiving on, state_at any lsn equals the
    model folded over the first lsn updates, across random checkpoint
-   placements. *)
+   placements.  A racing checkpoint commits the next update while it
+   writes, so the archived log and the new one overlap by it. *)
 let prop_history_prefix =
   Helpers.qtest ~count:40 "state_at = model prefix"
     QCheck2.Gen.(
       pair
         (list_size (1 -- 25) (pair (0 -- 8) (0 -- 99)))
-        (list_size (0 -- 4) (0 -- 24)))
+        (list_size (0 -- 4) (pair (0 -- 24) bool)))
     (fun (ops, ckpt_points) ->
-      let _, _, db = mem_db ~config:archive_config () in
-      List.iteri
-        (fun i (k, v) ->
-          KVDb.update db (KV.Set (Printf.sprintf "k%d" k, string_of_int v));
-          if List.mem i ckpt_points then KVDb.checkpoint db)
-        ops;
+      let fs, race = racing_fs (Mem.fs (Mem.create_store ())) in
+      let db = KVDb.open_exn ~config:archive_config fs in
+      let set (k, v) =
+        KVDb.update db (KV.Set (Printf.sprintf "k%d" k, string_of_int v))
+      in
+      let rec go i = function
+        | [] -> ()
+        | op :: rest -> (
+          set op;
+          match (List.assoc_opt i ckpt_points, rest) with
+          | Some true, next :: rest ->
+            race := Some (fun () -> set next);
+            KVDb.checkpoint db;
+            go (i + 2) rest
+          | Some _, _ ->
+            KVDb.checkpoint db;
+            go (i + 1) rest
+          | None, _ -> go (i + 1) rest)
+      in
+      go 0 ops;
       let n = List.length ops in
-      let probe = [ 0; n / 2; n ] in
+      let probe = List.init (n + 1) Fun.id in
       List.for_all
         (fun lsn ->
           match KVDb.History.state_at db ~lsn with
@@ -715,9 +733,10 @@ let test_recovery_spans_after_reopen () =
       KVDb.close db2)
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent (fuzzy) checkpoints                                       *)
+(* Checkpoints that race updates                                       *)
 
-(* An immutable application, as checkpoint_concurrent requires. *)
+(* A persistent application: the checkpoint snapshots it with no lock
+   held while it writes. *)
 module StrMap = Map.Make (String)
 
 module MapKV = struct
@@ -725,6 +744,7 @@ module MapKV = struct
   type update = Set of string * string | Del of string
 
   let name = "map-kv"
+  let state_kind = `Persistent
 
   let codec_state =
     P.conv ~name:"map-kv.state"
@@ -760,7 +780,7 @@ let test_concurrent_checkpoint_basic () =
   for i = 0 to 9 do
     MapDb.update db (MapKV.Set (sequenced_key i, sequenced_value i))
   done;
-  MapDb.checkpoint_concurrent db;
+  MapDb.checkpoint db;
   let s = MapDb.stats db in
   check Alcotest.int "generation advanced" 1 s.Smalldb.generation;
   check Alcotest.int "log reset" 0 s.Smalldb.log_entries;
@@ -795,7 +815,7 @@ let test_concurrent_checkpoint_carries_tail () =
       ()
   in
   for _ = 1 to 3 do
-    MapDb.checkpoint_concurrent db
+    MapDb.checkpoint db
   done;
   stop := true;
   Thread.join writer;
@@ -808,7 +828,7 @@ let test_concurrent_checkpoint_carries_tail () =
   MapDb.close db2
 
 let test_concurrent_checkpoint_crash_sweep () =
-  (* Crash at every disk operation inside checkpoint_concurrent. *)
+  (* Crash at every disk operation inside the checkpoint. *)
   List.iter
     (fun mode ->
       let rec go k any =
@@ -821,7 +841,7 @@ let test_concurrent_checkpoint_crash_sweep () =
         let crashed = ref false in
         (try
            Mem.set_crash_after store ~ops:k ~mode;
-           MapDb.checkpoint_concurrent db;
+           MapDb.checkpoint db;
            Mem.disarm_crash store
          with Mem.Crash -> crashed := true);
         Mem.disarm_crash store;
@@ -841,15 +861,224 @@ let test_concurrent_checkpoint_crash_sweep () =
       go 1 false)
     [ Mem.Clean; Mem.Torn ]
 
-let test_concurrent_checkpoint_rejects_archiving () =
+(* A Clean and a Torn crash at every disk operation of a checkpoint
+   that carries a one-update tail (committed while the checkpoint
+   writes), for both state kinds, with and without archiving.  After
+   each recovery the store holds a clean prefix, nothing acknowledged
+   is lost, nothing is replayed twice, and the audit trail reaches the
+   live LSN. *)
+module Ckpt_sweep (A : sig
+  include Smalldb.APP
+
+  val set : string -> string -> update
+  val size : state -> int
+end) =
+struct
+  module Db = Smalldb.Make (A)
+
+  let run ~archive_logs mode =
+    let config = { Smalldb.default_config with archive_logs } in
+    let rec go k =
+      let store = Mem.create_store ~seed:(9100 + k) () in
+      let fs, race = racing_fs (Mem.fs store) in
+      let db = Db.open_exn ~config fs in
+      for i = 0 to 7 do
+        Db.update db (A.set (sequenced_key i) (sequenced_value i))
+      done;
+      let acked = ref 8 in
+      race :=
+        Some
+          (fun () ->
+            Db.update db (A.set "tail" "t");
+            incr acked);
+      match
+        Mem.set_crash_after store ~ops:k ~mode;
+        Db.checkpoint db
+      with
+      | () ->
+        Mem.disarm_crash store;
+        if k = 1 then Alcotest.fail "sweep never crashed"
+      | exception Mem.Crash ->
+        Mem.disarm_crash store;
+        let at = Printf.sprintf "%s crash@%d" A.name k in
+        (match Db.open_ ~config (Mem.fs store) with
+        | Error e -> Alcotest.fail (at ^ ": " ^ e)
+        | Ok db2 ->
+          let n = Db.query db2 A.size in
+          let lsn = (Db.stats db2).Smalldb.lsn in
+          check Alcotest.bool (at ^ ": acknowledged updates survive") true
+            (n >= !acked && n <= 9);
+          check Alcotest.int (at ^ ": lsn counts each update once") n lsn;
+          if archive_logs then (
+            match Db.History.fold db2 ~init:0 ~f:(fun c _ _ -> c + 1) with
+            | Ok c -> check Alcotest.int (at ^ ": trail reaches the live lsn") lsn c
+            | Error e -> Alcotest.fail (at ^ ": " ^ e));
+          Db.close db2);
+        go (k + 1)
+    in
+    go 1
+
+  let test () =
+    List.iter
+      (fun (archive_logs, mode) -> run ~archive_logs mode)
+      [ (false, Mem.Clean); (false, Mem.Torn); (true, Mem.Clean); (true, Mem.Torn) ]
+end
+
+module Sweep_mutable = Ckpt_sweep (struct
+  include KV
+
+  let set k v = KV.Set (k, v)
+  let size = Hashtbl.length
+end)
+
+module Sweep_persistent = Ckpt_sweep (struct
+  include MapKV
+
+  let set k v = MapKV.Set (k, v)
+  let size = StrMap.cardinal
+end)
+
+(* Archives written before logs recorded their first LSN never overlap,
+   and still fold. *)
+let test_history_without_log_bases () =
+  let _, fs, db = mem_db ~config:archive_config () in
+  for i = 0 to 5 do
+    KVDb.update db (sequenced_update i);
+    if i = 1 || i = 3 then KVDb.checkpoint db
+  done;
+  List.iter
+    (fun f ->
+      if String.length f > 7 && String.equal (String.sub f 0 7) "logbase" then
+        fs.Fs.remove f)
+    (fs.Fs.list_files ());
+  match KVDb.History.fold db ~init:[] ~f:(fun acc lsn _ -> lsn :: acc) with
+  | Ok lsns -> check Alcotest.(list int) "contiguous trail" (List.init 6 Fun.id) (List.rev lsns)
+  | Error e -> Alcotest.fail e
+
+(* The hard-error fallback replays the retained previous log and then
+   the current one, which opens with the tail the previous log also
+   holds: the overlap must be applied once. *)
+let test_fallback_skips_carried_tail () =
+  let config = { Smalldb.default_config with retain_previous = true } in
+  let store = Mem.create_store ~seed:74 () in
+  let fs, race = racing_fs (Mem.fs store) in
+  let db = KVDb.open_exn ~config fs in
+  KVDb.update db (sequenced_update 0);
+  KVDb.checkpoint db;
+  KVDb.update db (sequenced_update 1);
+  race := Some (fun () -> KVDb.update db (sequenced_update 2));
+  KVDb.checkpoint db;
+  KVDb.update db (sequenced_update 3);
+  KVDb.close db;
+  Mem.damage store ~file:(Store.checkpoint_file 2) ~offset:0 ~len:8;
+  let db2 = KVDb.open_exn ~config (Mem.fs store) in
+  check Alcotest.bool "restored from the previous generation" true
+    (KVDb.stats db2).Smalldb.recovery.Smalldb.used_previous_generation;
+  check Alcotest.int "every update once" 4 (sequenced_prefix db2);
+  check Alcotest.int "lsn" 4 (KVDb.stats db2).Smalldb.lsn;
+  KVDb.close db2
+
+(* A group fsync that fails while a checkpoint sits in its second
+   phase poisons the engine; the third phase then refuses: no
+   generation switch, the old generation intact for the next open. *)
+let test_checkpoint_poisoned_in_phase_2 () =
+  let store = Mem.create_store ~seed:75 () in
+  let ctl, ffs = Sdb_storage.Fault_fs.wrap (Mem.fs store) in
+  let fs, race = racing_fs ffs in
+  let db = KVDb.open_exn fs in
+  for i = 0 to 2 do
+    KVDb.update db (sequenced_update i)
+  done;
+  race :=
+    Some
+      (fun () ->
+        Sdb_storage.Fault_fs.fail_nth ctl ~op:`Sync ~n:1 ();
+        match KVDb.update db (sequenced_update 3) with
+        | () -> Alcotest.fail "the update's fsync was to fail"
+        | exception Fs.Io_error _ -> ());
+  (match KVDb.checkpoint db with
+  | () -> Alcotest.fail "checkpoint committed on a poisoned engine"
+  | exception Smalldb.Poisoned -> ());
+  check Alcotest.bool "no switch begun" false (fs.Fs.exists Store.newversion_file);
+  (try KVDb.close db with _ -> ());
+  let db2 = KVDb.open_exn (Mem.fs store) in
+  check Alcotest.int "old generation" 0 (KVDb.stats db2).Smalldb.generation;
+  check Alcotest.bool "committed updates kept" true (sequenced_prefix db2 >= 3);
+  KVDb.close db2
+
+(* [close] waits for a checkpoint in flight, which then commits as if
+   the close had come after it. *)
+let test_close_waits_for_checkpoint () =
+  let store = Mem.create_store ~seed:76 () in
+  let fs, race = racing_fs (Mem.fs store) in
+  let db = KVDb.open_exn fs in
+  for i = 0 to 2 do
+    KVDb.update db (sequenced_update i)
+  done;
+  let closed = Atomic.make false and closed_in_phase_2 = ref true in
+  let closer = ref None in
+  race :=
+    Some
+      (fun () ->
+        closer :=
+          Some
+            (Thread.create
+               (fun () ->
+                 KVDb.close db;
+                 Atomic.set closed true)
+               ());
+        Thread.delay 0.05;
+        closed_in_phase_2 := Atomic.get closed);
+  KVDb.checkpoint db;
+  Option.iter Thread.join !closer;
+  check Alcotest.bool "close waited for phase 3" false !closed_in_phase_2;
+  check Alcotest.bool "closed" true (Atomic.get closed);
+  let db2 = KVDb.open_exn (Mem.fs store) in
+  check Alcotest.int "the checkpoint committed" 1 (KVDb.stats db2).Smalldb.generation;
+  check Alcotest.int "every update" 3 (sequenced_prefix db2);
+  KVDb.close db2
+
+(* With archiving, the archived log and the new one overlap by the
+   tail the checkpoint carried over; the trail still holds every update
+   exactly once, before and after a restart. *)
+let test_concurrent_checkpoint_archiving_works () =
   let store = Mem.create_store ~seed:73 () in
-  let db =
-    MapDb.open_exn ~config:{ Smalldb.default_config with archive_logs = true }
-      (Mem.fs store)
+  let fs, race = racing_fs (Mem.fs store) in
+  let config = { Smalldb.default_config with archive_logs = true } in
+  let db = MapDb.open_exn ~config fs in
+  let set i = MapDb.update db (MapKV.Set (sequenced_key i, sequenced_value i)) in
+  for i = 0 to 4 do
+    set i
+  done;
+  race := Some (fun () -> set 5);
+  MapDb.checkpoint db;
+  check Alcotest.int "tail carried into the new log" 1
+    (MapDb.stats db).Smalldb.log_entries;
+  set 6;
+  race := Some (fun () -> set 7);
+  MapDb.checkpoint db;
+  set 8;
+  let trail db =
+    match
+      MapDb.History.fold db ~init:[] ~f:(fun acc lsn u ->
+          match u with
+          | MapKV.Set (k, _) -> (lsn, k) :: acc
+          | MapKV.Del _ -> Alcotest.fail "unexpected delete")
+    with
+    | Ok entries -> List.rev entries
+    | Error e -> Alcotest.fail e
   in
-  Alcotest.check_raises "archive_logs rejected"
-    (Invalid_argument "Smalldb.checkpoint_concurrent: incompatible with archive_logs")
-    (fun () -> MapDb.checkpoint_concurrent db)
+  let all = List.init 9 (fun i -> (i, sequenced_key i)) in
+  check Alcotest.(list (pair int string)) "every update once" all (trail db);
+  (match MapDb.History.state_at db ~lsn:6 with
+  | Ok st -> check Alcotest.int "state at lsn 6" 6 (StrMap.cardinal st)
+  | Error e -> Alcotest.fail e);
+  MapDb.close db;
+  let db2 = MapDb.open_exn ~config (Mem.fs store) in
+  check Alcotest.int "state complete" 9 (MapDb.query db2 StrMap.cardinal);
+  check Alcotest.(list (pair int string)) "every update once after restart" all
+    (trail db2);
+  MapDb.close db2
 
 (* ------------------------------------------------------------------ *)
 (* Real file system integration                                         *)
@@ -1203,6 +1432,8 @@ let () =
             test_history_unavailable_without_archiving;
           Alcotest.test_case "survives crash mid-checkpoint" `Quick
             test_history_survives_crash_mid_checkpoint;
+          Alcotest.test_case "archives without log bases fold" `Quick
+            test_history_without_log_bases;
           prop_history_prefix;
         ] );
       ( "instrumentation",
@@ -1219,8 +1450,18 @@ let () =
             test_concurrent_checkpoint_carries_tail;
           Alcotest.test_case "crash sweep" `Quick
             test_concurrent_checkpoint_crash_sweep;
-          Alcotest.test_case "rejects archiving" `Quick
-            test_concurrent_checkpoint_rejects_archiving;
+          Alcotest.test_case "archiving works" `Quick
+            test_concurrent_checkpoint_archiving_works;
+          Alcotest.test_case "crash sweep with a carried tail, mutable" `Quick
+            Sweep_mutable.test;
+          Alcotest.test_case "crash sweep with a carried tail, persistent" `Quick
+            Sweep_persistent.test;
+          Alcotest.test_case "fallback applies the carried tail once" `Quick
+            test_fallback_skips_carried_tail;
+          Alcotest.test_case "poisoned in phase 2: no switch" `Quick
+            test_checkpoint_poisoned_in_phase_2;
+          Alcotest.test_case "close waits for a checkpoint" `Quick
+            test_close_waits_for_checkpoint;
         ] );
       ( "real-fs",
         [ Alcotest.test_case "end to end on a directory" `Quick test_real_fs_end_to_end ]

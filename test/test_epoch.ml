@@ -1,5 +1,5 @@
 (* The lock-free read path end to end: the epoch publication layer on
-   its own, the engine routing queries through it (read_path = `Epoch),
+   its own, the engine routing queries through it (a `Persistent state),
    and the snapshot semantics observable over RPC.  The interleaving
    space of the protocol itself is exhausted in test_schedcheck; what
    this suite adds is the real instantiation — Stdlib atomics, real
@@ -91,8 +91,7 @@ let test_unsafe_reclaim_caught () =
 
 let epoch_ns ?(seed = 7) () =
   let store = Mem.create_store ~seed () in
-  let config = { Smalldb.default_config with read_path = `Epoch } in
-  (store, Ns.open_exn ~config (Mem.fs store))
+  (store, Ns.open_exn (Mem.fs store))
 
 (* A reader holding its snapshot across a concurrent committed update
    must keep seeing the pre-update version — and, unlike the Shared-lock

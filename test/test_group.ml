@@ -13,6 +13,7 @@ module Fs = Sdb_storage.Fs
 module Mem = Sdb_storage.Mem_fs
 module Fault = Sdb_storage.Fault_fs
 module Metrics = Sdb_obs.Metrics
+module Trace = Sdb_obs.Trace
 open Helpers
 
 let grouped () = Smalldb.default_config
@@ -299,6 +300,140 @@ let test_no_space_degrades_and_fails_all_members () =
   check Alcotest.bool "healthy again" true (KVDb.health db = `Healthy);
   KVDb.close db
 
+(* ------------------------------------------------------------------ *)
+(* The auto-checkpoint and the checked updater under load              *)
+
+(* The updater whose group crosses the policy's threshold runs the
+   checkpoint after leaving the commit slot: while that checkpoint sits
+   in its second phase (held open here, deterministically, at the
+   creation of its file), the next update commits, and — finding a
+   checkpoint already in flight — does not wait for it. *)
+let test_auto_checkpoint_leaves_the_slot () =
+  let store = Mem.create_store ~seed:11 () in
+  let inner = Mem.fs store in
+  let entered = Atomic.make false and release = Atomic.make false in
+  let create name =
+    if String.equal name "checkpoint1" then begin
+      Atomic.set entered true;
+      while not (Atomic.get release) do
+        Thread.delay 0.001
+      done
+    end;
+    inner.Fs.create name
+  in
+  let config = { (grouped ()) with policy = Smalldb.Every_n_updates 5 } in
+  let db = KVDb.open_exn ~config { inner with Fs.create } in
+  for i = 0 to 3 do
+    KVDb.update db (sequenced_update i)
+  done;
+  let trigger = Thread.create (fun () -> KVDb.update db (sequenced_update 4)) () in
+  while not (Atomic.get entered) do
+    Thread.delay 0.001
+  done;
+  let next_done = Atomic.make false in
+  let next =
+    Thread.create
+      (fun () ->
+        KVDb.update db (sequenced_update 5);
+        Atomic.set next_done true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get next_done)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  let committed_meanwhile = Atomic.get next_done in
+  let generation = (KVDb.stats db).Smalldb.generation in
+  Atomic.set release true;
+  Thread.join trigger;
+  Thread.join next;
+  check Alcotest.bool "next group committed during phase 2" true committed_meanwhile;
+  check Alcotest.int "checkpoint still in phase 2 then" 0 generation;
+  let s = KVDb.stats db in
+  check Alcotest.int "checkpoint installed" 1 s.Smalldb.generation;
+  check Alcotest.int "one checkpoint" 1 s.Smalldb.checkpoints_written;
+  check Alcotest.int "the update it overlapped was carried" 1 s.Smalldb.log_entries;
+  KVDb.close db;
+  let db2 = KVDb.open_exn (Mem.fs store) in
+  check Alcotest.int "recovered prefix" 6 (sequenced_prefix db2);
+  KVDb.close db2
+
+(* A checked update never joins a forming group: it opens a group of
+   its own, closing the forming one to joiners, and verifies at its
+   seal.  Under a flood of plain updaters it must wait out at most the
+   group committing and the one it closed, not every group the flood
+   forms.  Its waits are its [update.join] spans with [role=checked]
+   (the commit slot plus the linger); the groups waited out by one call
+   are the log flushes that start inside the waits the call emits.
+   (The wait for the Update lock itself is not counted: a barging lock
+   can hand it to a plain updater first, however the coordinator
+   orders groups.) *)
+let test_checked_updater_under_flood () =
+  let _, _, db = mem_grouped () in
+  let m = Mutex.create () in
+  let waits = ref [] and flushes = ref [] in
+  Trace.set_sink
+    (Some
+       (fun s ->
+         let keep r x =
+           Mutex.lock m;
+           r := x :: !r;
+           Mutex.unlock m
+         in
+         if String.equal s.Trace.name "update.log" then keep flushes s.Trace.start_s
+         else if
+           String.equal s.Trace.name "update.join"
+           && List.assoc_opt "role" s.Trace.attrs = Some "checked"
+         then keep waits (s.Trace.start_s, s.Trace.start_s +. s.Trace.dur_s)));
+  Fun.protect ~finally:(fun () -> Trace.set_sink None) @@ fun () ->
+  let stop = Atomic.make false in
+  let flooders =
+    List.init 4 (fun tid ->
+        Thread.create
+          (fun () ->
+            let i = ref 0 in
+            while not (Atomic.get stop) do
+              KVDb.update db (KV.Set (Printf.sprintf "f%d-%d" tid (!i mod 64), "x"));
+              incr i
+            done)
+          ())
+  in
+  Thread.delay 0.01;
+  let calls =
+    List.init 40 (fun i ->
+        let t0 = Unix.gettimeofday () in
+        (match
+           KVDb.update_checked db
+             ~precondition:(fun _ -> Ok ())
+             (KV.Set (Printf.sprintf "c%d" i, "v"))
+         with
+        | Ok () -> ()
+        | Error () -> fail "precondition cannot fail");
+        (t0, Unix.gettimeofday ()))
+  in
+  Atomic.set stop true;
+  List.iter Thread.join flooders;
+  let within (a, b) t = t >= a && t <= b in
+  let groups_waited call =
+    List.fold_left
+      (fun n ((a, _) as wait) ->
+        if within call a then
+          n + List.length (List.filter (within wait) !flushes)
+        else n)
+      0 !waits
+  in
+  let worst = List.fold_left (fun w call -> max w (groups_waited call)) 0 calls in
+  check Alcotest.bool "the checked updater waited for the flood" true (!waits <> []);
+  check Alcotest.bool
+    (Printf.sprintf "worst wait %d groups (bound 2)" worst)
+    true (worst <= 2);
+  check Alcotest.int "every checked update committed" 40
+    (KVDb.query db (fun st ->
+         Hashtbl.fold
+           (fun k _ n -> if k.[0] = 'c' then n + 1 else n)
+           st 0));
+  KVDb.close db
+
 let () =
   Helpers.run "group-commit"
     [
@@ -322,6 +457,10 @@ let () =
         [
           Alcotest.test_case "failed fsync poisons, wakes all parked" `Quick
             test_fsync_fault_poisons_and_wakes_all;
+          Alcotest.test_case "auto-checkpoint leaves the commit slot" `Quick
+            test_auto_checkpoint_leaves_the_slot;
+          Alcotest.test_case "checked updater under a flood" `Quick
+            test_checked_updater_under_flood;
           Alcotest.test_case "no-space degrades, fails all cleanly" `Quick
             test_no_space_degrades_and_fails_all_members;
         ] );

@@ -261,6 +261,74 @@ let test_disabled_is_inert () =
   check Alcotest.int "no violations" 0 s.Sdb_check.violations;
   Sdb_check.set_enabled true
 
+(* The declaration [`Persistent] is a promise the engine cannot see.
+   A Hashtbl app declared persistent hands its one mutable table to the
+   checkpoint as the snapshot; an update committed while the checkpoint
+   writes (its second phase, held open by write latency) changes the
+   table under it, and the re-pickle before the switch reports it.
+   The same app declared [`Mutable] snapshots a pickle: not reported. *)
+module Misdeclared = Smalldb.Make (struct
+  include Helpers.KV
+
+  let state_kind = `Persistent
+end)
+
+module type KV_ENGINE = sig
+  type t
+
+  val open_exn : ?config:Smalldb.config -> Sdb_storage.Fs.t -> t
+  val update : t -> Helpers.KV.update -> unit
+  val checkpoint : t -> unit
+  val stats : t -> Smalldb.stats
+  val close : t -> unit
+end
+
+(* Runs one checkpoint with an update committed in its second phase;
+   returns the checkpoint's outcome and the generation afterwards. *)
+let checkpoint_racing_update (module Db : KV_ENGINE) =
+  fresh ();
+  let store = Sdb_storage.Mem_fs.create_store ~seed:5 () in
+  let ctl, fs = Sdb_storage.Fault_fs.wrap (Sdb_storage.Mem_fs.fs store) in
+  let db = Db.open_exn fs in
+  for i = 0 to 9 do
+    Db.update db (Helpers.sequenced_update i)
+  done;
+  Sdb_storage.Fault_fs.set_latency ctl ~op:`Write 0.05;
+  let outcome = ref (Ok ()) in
+  let ckpt =
+    Thread.create
+      (fun () ->
+        outcome :=
+          match Db.checkpoint db with
+          | () -> Ok ()
+          | exception Sdb_check.Violation v -> Error v)
+      ()
+  in
+  while not (fs.Sdb_storage.Fs.exists (Sdb_checkpoint.Checkpoint_store.checkpoint_file 1)) do
+    Thread.delay 0.001
+  done;
+  Db.update db (Helpers.sequenced_update 10);
+  Thread.join ckpt;
+  Sdb_storage.Fault_fs.set_latency ctl 0.;
+  let generation = (Db.stats db).Smalldb.generation in
+  Db.update db (Helpers.sequenced_update 11);
+  Db.close db;
+  (!outcome, generation)
+
+let test_misdeclared_persistent_caught () =
+  match checkpoint_racing_update (module Misdeclared) with
+  | Error v, generation ->
+    check Alcotest.string "rule" "epoch" v.Sdb_check.v_rule;
+    check Alcotest.int "checkpoint scrapped, engine usable" 0 generation
+  | Ok (), _ -> Alcotest.fail "mutated snapshot not reported"
+
+let test_declared_mutable_quiet () =
+  match checkpoint_racing_update (module Helpers.KVDb) with
+  | Ok (), generation ->
+    check Alcotest.int "checkpoint installed" 1 generation;
+    check Alcotest.int "no violations" 0 (Sdb_check.stats ()).Sdb_check.violations
+  | Error v, _ -> Alcotest.fail (Sdb_check.pp_violation v)
+
 (* --------------------------------------------------------------- *)
 (* Stress: the real engine under the sanitizer must come out clean. *)
 
@@ -352,6 +420,10 @@ let () =
           Alcotest.test_case "violation log and stats" `Quick
             test_violation_log_and_stats;
           Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
+          Alcotest.test_case "mutable state declared persistent caught" `Quick
+            test_misdeclared_persistent_caught;
+          Alcotest.test_case "declared mutable twin quiet" `Quick
+            test_declared_mutable_quiet;
         ] );
       ( "stress",
         [ Alcotest.test_case "engine under sanitizer" `Quick test_engine_stress ] );

@@ -120,6 +120,15 @@ let test_group_commit_unserial () =
   assert_caught "group_commit_unserial" Scen.group_commit_unserial
     ~mentioning:[ "missed an update staged before it" ]
 
+let test_checkpoint_vs_group_commit () =
+  ignore
+    (assert_passed "checkpoint_vs_group_commit(2)"
+       (Sched.explore (Scen.checkpoint_vs_group_commit ~updaters:2)))
+
+let test_checkpoint_offset_late () =
+  assert_caught "checkpoint_offset_late" Scen.checkpoint_offset_late
+    ~mentioning:[ "misses or repeats a committed update" ]
+
 (* --- detector of the detector ------------------------------------- *)
 
 let test_broken_writer_caught () =
@@ -177,6 +186,10 @@ let () =
             test_group_commit;
           Alcotest.test_case "checked member joining a group is caught" `Quick
             test_group_commit_unserial;
+          Alcotest.test_case "checkpoint phases vs group commit" `Quick
+            test_checkpoint_vs_group_commit;
+          Alcotest.test_case "log offset read outside phase 1 is caught" `Quick
+            test_checkpoint_offset_late;
           Alcotest.test_case "replica outbox hand-off" `Quick test_replica_outbox;
           Alcotest.test_case "failure detector: revive only by heartbeat" `Quick
             test_failure_detector;

@@ -361,7 +361,7 @@ let prop_random_truncation =
         entries = expected_prefix)
 
 let test_raw_frames_counted () =
-  (* [append_raw_frames] (the concurrent checkpoint's tail copy) must
+  (* [append_raw_frames] (the checkpoint's log tail copy) must
      feed the same append counters as the framed path, or the metrics
      undercount log traffic. *)
   let module Metrics = Sdb_obs.Metrics in
