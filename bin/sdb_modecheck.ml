@@ -1,19 +1,21 @@
-(* The mode/effect-check CLI: the CI gate over the engine's .cmt tree.
+(* The static checker's CLI: the CI gate over the .cmt trees of lib/
+   and bin/ (bin/'s exist after `dune build @check`).
 
    Usage:
      sdb_modecheck [DIR ...]      check .cmt files under the given roots
-                                  (default: _build/default/lib, located by
-                                  walking up to the dune-project root)
-     sdb_modecheck --self-test    drive every rule on synthetic summaries
+                                  (default: _build/default/lib and
+                                  _build/default/bin, located by walking
+                                  up to the dune-project root)
+     sdb_modecheck --self-test    drive the rules on synthetic summaries
+                                  and the waiver grammar
      sdb_modecheck --rules        list the rules
      sdb_modecheck --lockdep      print the derived lock-order edges
      sdb_modecheck --summaries    dump the per-function summaries
      sdb_modecheck --no-xcheck    skip the DESIGN.md §5 lockdep cross-check
      sdb_modecheck --file F.cmt ... check specific files (xcheck off)
 
-   Exit status: 0 = clean, 1 = findings, 2 = usage or internal error —
-   the same convention as sdb_lint.  Findings print one per line as
-   file:line:col: [rule] message. *)
+   Exit status: 0 = clean, 1 = findings, 2 = usage or internal error.
+   Findings print one per line as file:line:col: [rule] message. *)
 
 let usage () =
   prerr_endline
@@ -23,7 +25,7 @@ let usage () =
 
 (* Walk up from the cwd to the dune-project root so the tool works from
    any subdirectory of the repo. *)
-let default_root () =
+let default_roots () =
   let rec up dir =
     if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
     else
@@ -33,7 +35,7 @@ let default_root () =
   match up (Sys.getcwd ()) with
   | Some root ->
       let p = Filename.concat (Filename.concat root "_build") "default" in
-      Some (Filename.concat p "lib")
+      Some (List.map (Filename.concat p) [ "lib"; "bin" ])
   | None -> None
 
 let mode_opt = function
@@ -127,8 +129,8 @@ let () =
     let roots =
       if rest <> [] then rest
       else
-        match default_root () with
-        | Some r -> [ r ]
+        match default_roots () with
+        | Some r -> r
         | None ->
             prerr_endline
               "sdb_modecheck: no dune-project root found above the cwd; \

@@ -1,4 +1,5 @@
-(* Sdb_modecheck — interprocedural lock-mode & effect checker.
+(* Sdb_modecheck — the repo's static checker: interprocedural lock-mode
+   & effect rules plus the discipline rules.
 
    Reads the compiler's typedtree output (.cmt files, produced by dune as
    a side effect of every build) and computes a per-function summary:
@@ -20,9 +21,12 @@
 
    The checker also rederives the lock-order DAG from the summaries and
    cross-checks it against the runtime lockdep graph documented in
-   DESIGN.md §5.  Waivers share sdb_lint's syntax, under the attribute
-   [@sdb.check.allow "rule: reason"].  Exit codes (via bin/sdb_modecheck):
-   0 clean, 1 findings, 2 usage/internal error. *)
+   DESIGN.md §5.  A separate walk per unit enforces the discipline rules
+   (unix-io, mutex-pairing, print-in-lib, global-mutable, swallow),
+   scoped by the unit's source path.  A finding is waived at the
+   expression or binding with [@sdb.check.allow "rule: reason"].  Exit
+   codes (via bin/sdb_modecheck): 0 clean, 1 findings, 2 usage/internal
+   error. *)
 
 type vmode = Shared | Update | Exclusive
 
@@ -60,6 +64,15 @@ let rules : (string * string) list = [
                       lockdep graph in DESIGN.md §5");
   ("unprotected-acquire", "Vlock/Mu acquired, then possibly-raising work, \
                            with no Fun.protect releasing it");
+  ("unix-io", "direct Unix file I/O outside lib/storage (must route \
+               through Fs)");
+  ("mutex-pairing", "Mutex/Mu/Schedcheck.Mutex lock without a matching \
+                     unlock of the same lock in the same top-level item");
+  ("print-in-lib", "stdout/stderr printing inside lib/ (use Sdb_obs)");
+  ("global-mutable", "module-level mutable state in a lib/ file with no \
+                      synchronization primitive");
+  ("swallow", "catch-all exception handler or unascribed ignore in lib/ \
+               (errors vanish silently)");
   ("attr", "malformed or unknown sdb.* attribute");
   ("read-error", "a .cmt file could not be read or analyzed");
 ]
@@ -82,23 +95,33 @@ let string_payload (p : Parsetree.payload) =
           _ } ] -> Some s
   | _ -> None
 
-(* A waiver payload is "rule: reason" (waives one rule) or any bare
-   string (waives everything) — same grammar as sdb_lint. *)
+(* The one waiver form is [@sdb.check.allow "rule: reason"]: a known
+   rule id and a non-empty justification.  Anything else waives
+   nothing and is itself an [attr] finding. *)
+let waiver_rule (a : Parsetree.attribute) =
+  match string_payload a.attr_payload with
+  | None -> Error (Printf.sprintf "[@%s] needs a \"rule: reason\" string" waiver_attr)
+  | Some s -> (
+      match String.index_opt s ':' with
+      | None ->
+          Error (Printf.sprintf "[@%s %S]: expected \"rule: reason\"" waiver_attr s)
+      | Some i ->
+          let rule = String.trim (String.sub s 0 i) in
+          let reason = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
+          if not (List.mem_assoc rule rules) then
+            Error (Printf.sprintf "[@%s]: unknown rule %S" waiver_attr rule)
+          else if reason = "" then
+            Error (Printf.sprintf "[@%s %S]: the justification is empty" waiver_attr s)
+          else Ok rule)
+
 let waivers_of_attrs (attrs : Parsetree.attributes) =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
       if a.attr_name.txt <> waiver_attr then None
-      else
-        match string_payload a.attr_payload with
-        | None -> Some "*"
-        | Some s -> (
-            match String.index_opt s ':' with
-            | Some i -> Some (String.trim (String.sub s 0 i))
-            | None -> Some (String.trim s)))
+      else Result.to_option (waiver_rule a))
     attrs
 
-let waives waivers rule =
-  List.exists (fun w -> w = "*" || w = rule || w = "") waivers
+let waives waivers rule = List.mem rule waivers
 
 type contract = {
   c_requires : vmode option;
@@ -123,37 +146,35 @@ let payload_word (p : Parsetree.payload) =
       | _ -> None)
   | _ -> None
 
-let known_sdb_attrs =
-  [ "sdb.requires"; "sdb.acquires"; "sdb.noblock"; "sdb.epoch_section";
-    waiver_attr; "sdb.lint.allow" ]
+let payload_mode (a : Parsetree.attribute) =
+  Option.bind (payload_word a.attr_payload) mode_of_string
 
-(* [bad] is called for each malformed sdb.* attribute with a message. *)
-let contract_of_attrs ~bad (attrs : Parsetree.attributes) =
+(* Why an sdb.* attribute is malformed or unknown; None if it is fine
+   (or not ours). *)
+let attr_error (a : Parsetree.attribute) =
+  let name = a.attr_name.txt in
+  match name with
+  | "sdb.requires" | "sdb.acquires" -> (
+      match payload_word a.attr_payload with
+      | Some w when mode_of_string w <> None -> None
+      | Some w -> Some (Printf.sprintf "[@%s]: unknown mode %S" name w)
+      | None -> Some (Printf.sprintf "[@%s]: expected a mode argument" name))
+  | "sdb.noblock" | "sdb.epoch_section" -> None
+  | _ when name = waiver_attr -> (
+      match waiver_rule a with Ok _ -> None | Error m -> Some m)
+  | _ when String.starts_with ~prefix:"sdb." name ->
+      Some (Printf.sprintf "unknown attribute [@%s]" name)
+  | _ -> None
+
+let contract_of_attrs (attrs : Parsetree.attributes) =
   List.fold_left
     (fun c (a : Parsetree.attribute) ->
-      let name = a.attr_name.txt in
-      let mode_arg () =
-        match payload_word a.attr_payload with
-        | Some w -> (
-            match mode_of_string w with
-            | Some m -> Some m
-            | None ->
-                bad (Printf.sprintf "[@%s]: unknown mode %S" name w);
-                None)
-        | None ->
-            bad (Printf.sprintf "[@%s]: expected a mode argument" name);
-            None
-      in
-      match name with
-      | "sdb.requires" -> { c with c_requires = mode_arg () }
-      | "sdb.acquires" -> { c with c_acquires = mode_arg () }
+      match a.attr_name.txt with
+      | "sdb.requires" -> { c with c_requires = payload_mode a }
+      | "sdb.acquires" -> { c with c_acquires = payload_mode a }
       | "sdb.noblock" -> { c with c_noblock = true }
       | "sdb.epoch_section" -> { c with c_epoch_section = true }
-      | _ ->
-          if String.length name > 4 && String.sub name 0 4 = "sdb."
-             && not (List.mem name known_sdb_attrs)
-          then bad (Printf.sprintf "unknown attribute [@%s]" name);
-          c)
+      | _ -> c)
     no_contract attrs
 
 (* ------------------------------------------------------------------ *)
@@ -537,12 +558,7 @@ let rec peel_lambda (e : Typedtree.expression) =
   | _ -> None
 
 let rec scan fc st (e : Typedtree.expression) =
-  let ctx = fc.c in
   let waivers = waivers_of_attrs e.exp_attributes in
-  let bad msg = report ctx "attr" e.exp_loc msg in
-  (* contract attributes make no sense on expressions, but run the
-     parser anyway so unknown sdb.* attributes are flagged here too *)
-  ignore (contract_of_attrs ~bad e.exp_attributes : contract);
   fc.waiver_stack <- waivers :: fc.waiver_stack;
   (match e.exp_desc with
   | Texp_let (_, vbs, body) ->
@@ -1050,8 +1066,7 @@ let summarize_vb ctx ~prefix (vb : Typedtree.value_binding) =
     | [] -> Printf.sprintf "_init_%d" (fst (loc_of vb.vb_loc))
   in
   let fn_id = prefix ^ "." ^ name in
-  let bad msg = report ctx "attr" vb.vb_loc msg in
-  let contract = contract_of_attrs ~bad vb.vb_attributes in
+  let contract = contract_of_attrs vb.vb_attributes in
   let waivers = waivers_of_attrs vb.vb_attributes in
   let fc =
     { c = ctx; fn_id; waiver_stack = [ waivers ]; locals = []; inlining = [];
@@ -1204,38 +1219,228 @@ let prepass ctx (str : Typedtree.structure) =
   it.structure it str
 
 (* ------------------------------------------------------------------ *)
+(* Discipline rules: unix-io, mutex-pairing, print-in-lib,             *)
+(* global-mutable and swallow.  One walk per unit, identifiers         *)
+(* resolved by path, scoped by the unit's source path: lib/storage/ is *)
+(* exempt from unix-io, and only lib/ is subject to print-in-lib,      *)
+(* global-mutable and swallow.  The same walk flags malformed sdb.*    *)
+(* attributes, so each is reported once.                               *)
+
+(* "lib" anywhere in the path, so fixtures under test/.../lib/ are
+   scoped like the tree. *)
+let in_lib path = List.mem "lib" (String.split_on_char '/' path)
+
+let in_storage path =
+  let rec go = function
+    | "lib" :: "storage" :: _ -> true
+    | _ :: rest -> go rest
+    | [] -> false
+  in
+  go (String.split_on_char '/' path)
+
+let forbidden_unix =
+  [ "openfile"; "write"; "single_write"; "fsync"; "rename"; "unlink";
+    "truncate"; "ftruncate" ]
+
+let forbidden_prints =
+  [ [ "Printf"; "printf" ]; [ "Printf"; "eprintf" ]; [ "Format"; "printf" ];
+    [ "Format"; "eprintf" ]; [ "print_endline" ]; [ "print_string" ];
+    [ "print_newline" ]; [ "prerr_endline" ]; [ "prerr_string" ];
+    [ "prerr_newline" ] ]
+
+let mutable_makers =
+  [ [ "ref" ]; [ "Hashtbl"; "create" ]; [ "Queue"; "create" ];
+    [ "Buffer"; "create" ] ]
+
+let sync_heads = [ "Vlock"; "Mutex"; "Mu"; "Atomic"; "Condition" ]
+
+(* The lock modules mutex-pairing audits. *)
+let lock_families = [ [ "Mutex" ]; [ "Mu" ]; [ "Schedcheck"; "Mutex" ] ]
+
+(* Resolution for the discipline rules: a name bound in this unit
+   (other than a module alias) is qualified with the unit's name, so a
+   local [Mutex] module or [print_endline] never passes for Stdlib's. *)
+let resolve_global ctx p =
+  let head = Path.head p in
+  if Ident.global head || List.mem_assoc (Ident.name head) ctx.aliases then
+    resolve ctx p
+  else ctx.unit_name :: path_parts p
+
+let source_of e =
+  Format.asprintf "%a" Pprintast.expression (Untypeast.untype_expression e)
+
+let discipline ctx (str : Typedtree.structure) =
+  let open Typedtree in
+  let lib = in_lib ctx.src_file in
+  let waived = ref [] in
+  let report_here rule loc msg =
+    report ctx ~waivers:(List.concat !waived) rule loc msg
+  in
+  let check_attr (a : Parsetree.attribute) =
+    Option.iter (report ctx "attr" a.attr_loc) (attr_error a)
+  in
+  let under attrs f =
+    List.iter check_attr attrs;
+    waived := waivers_of_attrs attrs :: !waived;
+    f ();
+    waived := List.tl !waived
+  in
+  (* mutex-pairing ledger of the current top-level item: ((lock module,
+     lock expression), loc, waivers at the lock) and the pairs unlocked *)
+  let locks = ref [] and unlocks = ref [] in
+  let uses_sync = ref false in
+  let globals = ref [] in
+  let ident p loc =
+    match resolve_global ctx p with
+    | [ "Unix"; fn ] when List.mem fn forbidden_unix ->
+        if not (in_storage ctx.src_file) then
+          report_here "unix-io" loc
+            (Printf.sprintf
+               "direct Unix.%s bypasses Fs: fault injection and crash sweeps \
+                cannot see it; route through lib/storage" fn)
+    | parts when lib && List.mem parts forbidden_prints ->
+        report_here "print-in-lib" loc
+          (Printf.sprintf
+             "%s writes to the process's std streams from library code; use \
+              Sdb_obs (metrics/trace sinks) instead"
+             (String.concat "." parts))
+    | head :: _ when List.mem head sync_heads -> uses_sync := true
+    | _ -> ()
+  in
+  let apply (e : expression) =
+    match collect_app e with
+    | { exp_desc = Texp_ident (p, _, _); exp_loc; _ }, (Asttypes.Nolabel, arg) :: _
+      -> (
+        let parts = resolve_global ctx p in
+        match List.rev parts with
+        | [ "ignore" ]
+          when lib
+               && not
+                    (List.exists
+                       (function Texp_constraint _, _, _ -> true | _ -> false)
+                       arg.exp_extra) ->
+            (* [ignore (e : t)] is a deliberate, type-checked discard; a
+               bare [ignore e] silently drops whatever e became after a
+               refactor *)
+            report_here "swallow" exp_loc
+              "ignore without a type ascription can silently discard a \
+               result or error; write `ignore (e : t)` or bind the value"
+        | verb :: rev_family
+          when List.mem (List.rev rev_family) lock_families -> (
+            uses_sync := true;
+            let key = (rev_family, source_of arg) in
+            match verb with
+            | "lock" -> locks := (key, exp_loc, List.concat !waived) :: !locks
+            | "unlock" -> unlocks := key :: !unlocks
+            | _ -> ())
+        | _ -> ())
+    | _ -> ()
+  in
+  let it =
+    { Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          under e.exp_attributes (fun () ->
+              (match e.exp_desc with
+              | Texp_ident (p, _, _) -> ident p e.exp_loc
+              | Texp_apply _ -> apply e
+              | Texp_try (_, cases) when lib ->
+                  List.iter
+                    (fun (c : value case) ->
+                      match c.c_lhs.pat_desc with
+                      | Tpat_any ->
+                          report_here "swallow" c.c_lhs.pat_loc
+                            "catch-all `with _ ->` swallows every exception \
+                             including asserts and Out_of_memory; name the \
+                             exceptions this handler is allowed to eat"
+                      | _ -> ())
+                    cases
+              | _ -> ());
+              Tast_iterator.default_iterator.expr self e));
+      value_binding =
+        (fun self vb ->
+          under vb.vb_attributes (fun () ->
+              Tast_iterator.default_iterator.value_binding self vb));
+      structure_item =
+        (fun self si ->
+          (match si.str_desc with
+          | Tstr_attribute a -> check_attr a
+          | Tstr_value (_, vbs) ->
+              List.iter
+                (fun vb ->
+                  match collect_app vb.vb_expr with
+                  | { exp_desc = Texp_ident (p, _, _); _ }, _ :: _
+                    when List.mem (resolve_global ctx p) mutable_makers ->
+                      globals :=
+                        ( String.concat ", "
+                            (List.map Ident.name (pat_bound_idents vb.vb_pat)),
+                          vb.vb_loc,
+                          waivers_of_attrs vb.vb_attributes @ List.concat !waived )
+                        :: !globals
+                  | _ -> ())
+                vbs
+          | _ -> ());
+          Tast_iterator.default_iterator.structure_item self si) }
+  in
+  List.iter
+    (fun si ->
+      locks := [];
+      unlocks := [];
+      it.structure_item it si;
+      List.iter
+        (fun (((_, lock) as key), loc, waivers) ->
+          if not (List.mem key !unlocks) then
+            report ctx ~waivers "mutex-pairing" loc
+              (Printf.sprintf
+                 "lock of %s has no matching unlock in this definition; every \
+                  path (including exceptions) must release — use Fun.protect \
+                  or with_lock"
+                 lock))
+        !locks)
+    str.str_items;
+  if lib && not !uses_sync then
+    List.iter
+      (fun (what, loc, waivers) ->
+        report ctx ~waivers "global-mutable" loc
+          (Printf.sprintf
+             "module-level mutable state (%s) in a file that never uses a \
+              synchronization primitive: two threads make this a data race; \
+              guard it or make it Atomic"
+             what))
+      !globals
+
+(* ------------------------------------------------------------------ *)
 (* Reading .cmt files.                                                 *)
 
 let unit_of_filename file =
   let base = Filename.remove_extension (Filename.basename file) in
   String.capitalize_ascii (strip_mangle base)
 
+(* Analyze one .cmt; true if it held a unit written as a .ml file.
+   Dune's generated alias modules (.ml-gen) hold no code and are
+   skipped. *)
 let analyze_cmt ~findings ~summaries file =
   match Cmt_format.read_cmt file with
   | exception e ->
       findings :=
         { f_file = file; f_line = 0; f_col = 0; f_rule = "read-error";
           f_message = Printexc.to_string e }
-        :: !findings
-  | cmt -> (
-      match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
-          let src =
-            match cmt.Cmt_format.cmt_sourcefile with
-            | Some s -> s
-            | None -> file
-          in
-          let ctx =
-            { unit_name = unit_of_filename file; src_file = src; findings;
-              aliases = []; mu_classes = []; summaries }
-          in
-          prepass ctx str;
-          walk_structure ctx ~prefix:ctx.unit_name str
-      | _ -> ())
+        :: !findings;
+      false
+  | { cmt_annots = Implementation str; cmt_sourcefile = Some src; _ }
+    when Filename.check_suffix src ".ml" ->
+      let ctx =
+        { unit_name = unit_of_filename file; src_file = src; findings;
+          aliases = []; mu_classes = []; summaries }
+      in
+      prepass ctx str;
+      discipline ctx str;
+      walk_structure ctx ~prefix:ctx.unit_name str;
+      true
+  | _ -> false
 
-(* Recursively collect .cmt files.  Unlike sdb_lint's source walker,
-   this one must descend into dot-directories: dune keeps cmt artifacts
-   under .objs/byte. *)
+(* Recursively collect .cmt files, descending into dot-directories:
+   dune keeps cmt artifacts under .objs/byte. *)
 let walk_cmts roots =
   let acc = ref [] in
   let rec go path =
@@ -1606,7 +1811,9 @@ type report = {
 let analyze ?(xcheck = true) files =
   let findings = ref [] in
   let summaries : (string, summary) Hashtbl.t = Hashtbl.create 256 in
-  List.iter (fun f -> analyze_cmt ~findings ~summaries f) files;
+  let units =
+    List.length (List.filter (analyze_cmt ~findings ~summaries) files)
+  in
   fixpoint summaries;
   let checks = run_checks summaries in
   let edges = derive_edges summaries in
@@ -1628,7 +1835,7 @@ let analyze ?(xcheck = true) files =
         | c -> c)
       all
   in
-  { r_findings = sorted; r_edges = edges; r_units = List.length files;
+  { r_findings = sorted; r_edges = edges; r_units = units;
     r_functions = Hashtbl.length summaries; r_summaries = summaries }
 
 (* ------------------------------------------------------------------ *)
@@ -1803,29 +2010,29 @@ let self_test () =
       [ Ast_helper.Str.eval
           (Ast_helper.Exp.constant (Ast_helper.Const.string s)) ]
   in
-  let bads = ref [] in
   let c =
     contract_of_attrs
-      ~bad:(fun m -> bads := m :: !bads)
       [ attr "sdb.requires" (word "shared");
-        attr "sdb.noblock" (Parsetree.PStr []);
-        attr "sdb.bogus" (Parsetree.PStr []) ]
+        attr "sdb.noblock" (Parsetree.PStr []) ]
   in
   check "contract parse"
     (c.c_requires = Some Shared && c.c_noblock && not c.c_epoch_section);
-  check "unknown attr flagged" (List.length !bads = 1);
-  let badm = ref [] in
-  let c2 =
-    contract_of_attrs
-      ~bad:(fun m -> badm := m :: !badm)
-      [ attr "sdb.acquires" (word "sideways") ]
-  in
-  check "bad mode flagged" (c2.c_acquires = None && List.length !badm = 1);
+  check "unknown attr flagged" (attr_error (attr "sdb.bogus" (Parsetree.PStr [])) <> None);
+  check "bad mode flagged" (attr_error (attr "sdb.acquires" (word "sideways")) <> None);
+  let waiver p = attr waiver_attr p in
   check "waiver parse"
-    (waivers_of_attrs [ attr waiver_attr (str "io-under-mutex: reason") ]
+    (waivers_of_attrs [ waiver (str "io-under-mutex: reason") ]
     = [ "io-under-mutex" ]);
   check "waiver matches" (waives [ "io-under-mutex" ] "io-under-mutex");
-  check "bare waiver waives all" (waives [ "*" ] "mode");
+  List.iter
+    (fun (what, a) ->
+      check ("malformed waiver: " ^ what)
+        (waivers_of_attrs [ a ] = [] && attr_error a <> None))
+    [ ("bare reason", waiver (str "no rule named"));
+      ("empty reason", waiver (str "mode:  "));
+      ("unknown rule", waiver (str "nosuch: reason"));
+      ("no payload", waiver (Parsetree.PStr []));
+      ("other sdb.* attribute", attr "sdb.allow" (str "swallow: reason")) ];
   (* name normalization *)
   check "strip mangle" (strip_mangle "sdb_wal__Wal" = "Wal");
   check "normalize wrapper"
@@ -1839,7 +2046,8 @@ let self_test () =
        (fun r -> List.mem_assoc r rules)
        [ "mode"; "deadlock"; "noblock"; "io-under-mutex"; "epoch-bracket";
          "epoch-safety"; "lock-order"; "lockdep-xcheck";
-         "unprotected-acquire"; "attr"; "read-error" ]);
+         "unprotected-acquire"; "unix-io"; "mutex-pairing"; "print-in-lib";
+         "global-mutable"; "swallow"; "attr"; "read-error" ]);
   match !errs with
   | [] -> Ok ()
   | e -> Error (String.concat "; " (List.rev e))

@@ -1,4 +1,6 @@
-(* Interprocedural lock-mode & effect checker over .cmt typedtrees.
+(* The repo's static checker over .cmt typedtrees: interprocedural
+   lock-mode & effect rules and the discipline rules (unix-io,
+   mutex-pairing, print-in-lib, global-mutable, swallow).
 
    See sdb_modecheck.ml for the full story.  The CLI wrapper lives in
    bin/sdb_modecheck.ml; test/test_modecheck.ml drives [analyze] over
@@ -6,9 +8,7 @@
 
 type vmode = Shared | Update | Exclusive
 
-val mode_rank : vmode -> int
 val mode_name : vmode -> string
-val mode_of_string : string -> vmode option
 
 type finding = {
   f_file : string;
@@ -22,19 +22,12 @@ type finding = {
 val rules : (string * string) list
 val render : finding -> string
 
-val waiver_attr : string
-val waivers_of_attrs : Parsetree.attributes -> string list
-val waives : string list -> string -> bool
-
 type contract = {
   c_requires : vmode option;
   c_acquires : vmode option;
   c_noblock : bool;
   c_epoch_section : bool;
 }
-
-val no_contract : contract
-val contract_of_attrs : bad:(string -> unit) -> Parsetree.attributes -> contract
 
 type mu_kind = [ `Mutex | `Vlock ]
 
@@ -43,8 +36,6 @@ type site = {
   st_mus : (string * mu_kind) list;
   st_epoch : int;
 }
-
-val empty_site : site
 
 type callsite = {
   cs_callee : string;
@@ -125,5 +116,7 @@ type report = {
    disable it for partial trees and fixtures. *)
 val analyze : ?xcheck:bool -> string list -> report
 
-(* Synthetic-summary exercises of every rule; no .cmt input needed. *)
+(* Synthetic-summary exercises of the summary rules and of the waiver
+   grammar; no .cmt input needed.  The discipline rules need typedtrees:
+   the compiled fixtures of test/test_modecheck.ml exercise them. *)
 val self_test : unit -> (unit, string) result

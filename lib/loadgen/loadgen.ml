@@ -214,12 +214,16 @@ let sweep ?observe ?(on_result = fun _ _ -> ()) cfg ~rates ~exec =
     rates
 
 (* The sustained-throughput knee: the highest offered rate the system
-   kept up with (achieved ≥ tolerance·offered).  Above the knee the
-   open-loop queue grows without bound and latency is off the chart. *)
+   kept up with (achieved ≥ tolerance·offered) below one it did not.
+   Above the knee the open-loop queue grows without bound and latency
+   is off the chart.  A ramp that never saturated has no knee: its top
+   rate is only a lower bound on one. *)
 let knee ?(tolerance = 0.95) results =
+  let sustained (rate, r) = r.achieved_rate >= tolerance *. rate in
+  let failed = List.map fst (List.filter (fun x -> not (sustained x)) results) in
   List.fold_left
-    (fun best (rate, r) ->
-      if r.achieved_rate >= tolerance *. rate then
+    (fun best ((rate, _) as x) ->
+      if sustained x && List.exists (fun f -> f > rate) failed then
         match best with Some b when b >= rate -> best | _ -> Some rate
       else best)
     None results

@@ -91,7 +91,10 @@ val sweep :
 val knee : ?tolerance:float -> (float * result) list -> float option
 (** The sustained-throughput knee of a sweep: the highest offered rate
     whose achieved rate stayed within [tolerance] (default 0.95) of
-    it, or [None] if the system kept up with nothing. *)
+    it, below some higher offered rate whose achieved rate did not.
+    [None] if the system kept up with nothing, or with every rate of
+    the ramp (it never saturated, so its top rate bounds the knee only
+    from below). *)
 
 (** {1 Schedule and mix internals, exposed for tests} *)
 

@@ -96,7 +96,7 @@ let stderr_sink () =
     in
     Sdb_check.Mu.lock m;
     (Printf.eprintf "[trace] %s %.3fms%s\n%!" s.name (s.dur_s *. 1000.0) attrs
-    [@sdb.lint.allow
+    [@sdb.check.allow
       "print-in-lib: stderr_sink IS the designated stderr emitter the rule \
        points everything else at"]);
     Sdb_check.Mu.unlock m

@@ -221,7 +221,7 @@ module Socket = struct
   let listen ~path serve_conn =
     if Sys.file_exists path then
       (Unix.unlink path
-      [@sdb.lint.allow
+      [@sdb.check.allow
         "unix-io: removes a stale unix-domain socket, not a data file; Fs \
          decorates data-path I/O only"]);
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -1,5 +1,5 @@
 (** Deterministic schedule exploration for the engine's critical
-    sections (DESIGN.md §5.3).
+    sections (DESIGN.md §5.2).
 
     The sanitizer ({!Sdb_check}) checks the schedules that actually
     run; this harness checks the ones the suite never hits.  A scenario

@@ -139,7 +139,14 @@ let test_knee () =
     (Some 400.0)
     (L.knee ~tolerance:0.5 results);
   check (Alcotest.option (Alcotest.float 1e-9)) "no rate sustained" None
-    (L.knee [ (100.0, fake_result 20.0) ])
+    (L.knee [ (100.0, fake_result 20.0) ]);
+  check (Alcotest.option (Alcotest.float 1e-9)) "never saturated" None
+    (L.knee [ (100.0, fake_result 100.0); (200.0, fake_result 198.0) ]);
+  check (Alcotest.option (Alcotest.float 1e-9))
+    "a sustained rate above a failed one is not the knee" (Some 100.0)
+    (L.knee
+       [ (100.0, fake_result 100.0); (200.0, fake_result 150.0);
+         (400.0, fake_result 399.0) ])
 
 let () =
   Helpers.run "loadgen"
